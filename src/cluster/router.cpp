@@ -1,16 +1,13 @@
 #include "cluster/router.h"
 
-#include <netdb.h>
 #include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
-#include <variant>
 
 #include "cluster/aggregate.h"
 #include "obs/export.h"
@@ -20,14 +17,8 @@
 namespace geovalid::cluster {
 namespace {
 
-using serve::Fd;
 using serve::HttpRequest;
-using serve::HttpRequestParser;
-using serve::http_response;
 using serve::NetError;
-
-constexpr int kPollTimeoutMs = 100;
-constexpr std::size_t kReadBudgetBytes = 256 * 1024;
 
 /// Opportunistic flush threshold: a forwarder buffer past this tries the
 /// socket immediately instead of waiting for the next POLLOUT round.
@@ -37,108 +28,11 @@ constexpr std::size_t kFlushChunkBytes = 64 * 1024;
 /// violation, not a slow header.
 constexpr std::size_t kMaxProbeResponseBytes = 64 * 1024;
 
-/// conn_of_pollfd sentinels (connection indices are always far below).
-/// Each forwarder can contribute two pollfds: its text channel (tagged
-/// from kForwarderBase) and its lazily-opened binary channel (tagged from
-/// kForwarderBinBase); each in-flight health probe one more (tagged from
-/// kProbeBase). All three are disjoint ranges.
-constexpr std::size_t kIngestListener = SIZE_MAX;
-constexpr std::size_t kHttpListener = SIZE_MAX - 1;
-constexpr std::size_t kForwarderBase = SIZE_MAX / 2;
-constexpr std::size_t kForwarderBinBase = SIZE_MAX / 4;
-constexpr std::size_t kProbeBase = SIZE_MAX / 8;
-
 /// Seconds-to-ms for the config's double-valued deadlines, clamped so a
 /// tiny-but-positive value still polls.
 int to_ms(double seconds) {
   return std::max(1, static_cast<int>(seconds * 1000.0));
 }
-
-/// Fully non-blocking connect start for the probe loop: returns an fd
-/// whose connect is in flight (or already complete); invalid on
-/// immediate failure. Never blocks — EINPROGRESS is the success path.
-Fd probe_connect(const std::string& host, std::uint16_t port) {
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_NUMERICSERV;
-  addrinfo* res = nullptr;
-  const std::string service = std::to_string(port);
-  if (::getaddrinfo(host.c_str(), service.c_str(), &hints, &res) != 0) {
-    return Fd();
-  }
-  Fd fd(::socket(res->ai_family,
-                 res->ai_socktype | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                 res->ai_protocol));
-  if (fd.valid()) {
-    if (::connect(fd.get(), res->ai_addr, res->ai_addrlen) < 0 &&
-        errno != EINPROGRESS) {
-      fd.reset();
-    }
-  }
-  ::freeaddrinfo(res);
-  return fd;
-}
-
-/// Minimal response scan for the probe state machine: HTTP status plus
-/// the Geovalid-Instance header (serve stamps it on /readyz so the
-/// router can tell a connection blip from a process restart).
-bool parse_probe_response(const std::string& raw, int& status,
-                          std::string& instance) {
-  const std::size_t sp = raw.find(' ');
-  if (sp == std::string::npos || sp + 4 > raw.size()) return false;
-  status = 0;
-  const char* begin = raw.data() + sp + 1;
-  const auto [ptr, ec] = std::from_chars(begin, begin + 3, status);
-  if (ec != std::errc{} || ptr != begin + 3) return false;
-  std::size_t head_end = raw.find("\r\n\r\n");
-  if (head_end == std::string::npos) head_end = raw.size();
-  const std::string_view head(raw.data(), head_end);
-  static constexpr std::string_view kHeader = "geovalid-instance:";
-  std::size_t line = head.find("\r\n");
-  while (line != std::string_view::npos && line + 2 < head.size()) {
-    const std::string_view rest = head.substr(line + 2);
-    if (rest.size() > kHeader.size()) {
-      bool match = true;
-      for (std::size_t i = 0; i < kHeader.size(); ++i) {
-        const char c = rest[i];
-        const char lower =
-            (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-        if (lower != kHeader[i]) {
-          match = false;
-          break;
-        }
-      }
-      if (match) {
-        std::string_view value = rest.substr(kHeader.size());
-        const std::size_t eol = value.find("\r\n");
-        if (eol != std::string_view::npos) value = value.substr(0, eol);
-        while (!value.empty() && value.front() == ' ') {
-          value.remove_prefix(1);
-        }
-        while (!value.empty() && value.back() == ' ') {
-          value.remove_suffix(1);
-        }
-        instance.assign(value);
-        break;
-      }
-    }
-    line = head.find("\r\n", line + 2);
-  }
-  return true;
-}
-
-/// The fixed route vocabulary of cluster_http_requests_total{route=...}.
-constexpr const char* kRouteLabels[] = {
-    "/healthz",          "/readyz",
-    "/metrics",          "/v1/summary",
-    "/v1/users/{id}/verdicts",
-    "/v1/users/{id}/score",
-    "/v1/suspects",
-    "/admin/checkpoint", "/admin/drain",
-    "/admin/backends/{name}",
-    "other",
-};
 
 /// Routing key: verb + user id, the first two wire fields. Everything
 /// after the second comma is the backend's business — this is the only
@@ -251,33 +145,6 @@ void extract_suspects(std::string_view body,
 
 }  // namespace
 
-/// One accepted socket, either protocol — serve's Conn, verbatim
-/// discipline: queued response bytes drip out under POLLOUT.
-struct Router::Conn {
-  /// Wire format of an ingest connection, decided by its first byte
-  /// (serve/wire.h negotiation rule: 0xB1 = binary, anything else =
-  /// text) and fixed for the connection's lifetime.
-  enum class WireMode : std::uint8_t { kUndecided, kText, kBinary };
-
-  Fd fd;
-  bool is_http = false;
-  bool dead = false;
-  bool close_after_write = false;
-  bool awaiting_drain = false;
-  WireMode mode = WireMode::kUndecided;
-  serve::LineDecoder decoder;
-  serve::BinaryFrameDecoder frame_decoder;
-  HttpRequestParser parser;
-  std::string wbuf;
-  std::size_t woff = 0;
-  Clock::time_point last_activity;
-
-  explicit Conn(Fd socket, bool http, std::size_t max_line_bytes)
-      : fd(std::move(socket)), is_http(http), decoder(max_line_bytes) {
-    last_activity = Clock::now();
-  }
-};
-
 /// Cached cluster_* metric handles; per-backend vectors are ring-ordered
 /// and stay valid across replace() because labels key on the stable name.
 struct Router::Metrics {
@@ -301,8 +168,6 @@ struct Router::Metrics {
   obs::Counter* rec_replayed = nullptr;
   obs::Counter* rec_malformed = nullptr;
   obs::Counter* pauses = nullptr;
-  obs::Counter* conns_ingest = nullptr;
-  obs::Counter* conns_http = nullptr;
 
   obs::Counter& http_requests(const std::string& route, int status) {
     return obs::registry().counter(
@@ -313,7 +178,12 @@ struct Router::Metrics {
 };
 
 Router::Router(RouteConfig config)
-    : config_(std::move(config)), ring_(RingConfig{config_.vnodes}) {
+    : config_(std::move(config)),
+      ring_(RingConfig{config_.vnodes}),
+      loop_(*this,
+            {config_.max_connections, config_.idle_timeout_s,
+             config_.max_line_bytes},
+            counts_) {
   if (config_.backends.empty()) {
     throw std::invalid_argument("Router: at least one backend is required");
   }
@@ -421,11 +291,13 @@ void Router::register_metrics() {
       "crossed the high-water mark");
   static constexpr std::string_view kConnHelp =
       "Connections accepted by the router, by listener kind";
-  m.conns_ingest = &r.counter("cluster_connections_total", kConnHelp,
-                              {{"kind", "ingest"}});
-  m.conns_http = &r.counter("cluster_connections_total", kConnHelp,
-                            {{"kind", "http"}});
-  for (const char* route : kRouteLabels) m.http_requests(route, 200);
+  loop_.metrics.accepted = {
+      &r.counter("cluster_connections_total", kConnHelp, {{"kind", "ingest"}}),
+      &r.counter("cluster_connections_total", kConnHelp, {{"kind", "http"}})};
+  for (std::size_t i = 0; i < serve::kRouteCount; ++i) {
+    m.http_requests(
+        std::string(serve::route_label(static_cast<serve::Route>(i))), 200);
+  }
 }
 
 void Router::start() {
@@ -471,36 +343,11 @@ std::uint64_t Router::covered_count(trace::UserId user) const {
   return it == covered_.end() ? 0 : it->second;
 }
 
-void Router::accept_ready(Fd& listener, bool is_http) {
-  while (conns_.size() < config_.max_connections) {
-    const int cfd = ::accept4(listener.get(), nullptr, nullptr,
-                              SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (cfd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;
-    }
-    conns_.push_back(std::make_unique<Conn>(Fd(cfd), is_http,
-                                            config_.max_line_bytes));
-    ++stats_.connections;
-    if (is_http) {
-      ++active_http_;
-      if (metrics_) metrics_->conns_http->inc();
-    } else {
-      ++active_ingest_;
-      if (metrics_) metrics_->conns_ingest->inc();
-    }
-  }
-}
-
-void Router::process_ingest_line(std::string_view text, bool truncated) {
-  if (truncated) {
-    ++stats_.records_malformed;
-    if (metrics_) metrics_->rec_malformed->inc();
-    quarantine_->record_raw(text, stream::QuarantineReason::kMalformedLine);
-    return;
-  }
-  if (text.empty()) return;  // blank keepalive line
-  const std::optional<trace::UserId> user = route_key(text);
+void Router::on_line(std::string_view text, bool truncated) {
+  if (!truncated && text.empty()) return;  // blank keepalive line
+  // A truncated line is dead-lettered without a routing attempt.
+  const std::optional<trace::UserId> user =
+      truncated ? std::nullopt : route_key(text);
   if (!user) {
     ++stats_.records_malformed;
     if (metrics_) metrics_->rec_malformed->inc();
@@ -530,7 +377,7 @@ void Router::process_ingest_line(std::string_view text, bool truncated) {
   if (f.buffered() >= kFlushChunkBytes) f.flush();
 }
 
-void Router::process_ingest_frame(serve::BinaryFrameDecoder::Frame& frame) {
+void Router::on_frame(serve::BinaryFrameDecoder::Frame& frame) {
   // Same per-record epoch discipline as the text path — the frame is just
   // a denser envelope. Events that survive the replay skip are bucketed
   // by ring owner; each touched backend then gets exactly one re-encoded
@@ -562,94 +409,13 @@ void Router::process_ingest_frame(serve::BinaryFrameDecoder::Frame& frame) {
   }
 }
 
-void Router::process_frame_error(const serve::FrameError& error) {
+void Router::on_frame_error(const serve::FrameError& error) {
   // One rejected frame = one malformed ingest record: its claimed record
   // count is exactly what cannot be trusted.
   ++stats_.records_malformed;
   if (metrics_) metrics_->rec_malformed->inc();
   quarantine_->record_raw(error.detail,
                           stream::QuarantineReason::kMalformedFrame);
-}
-
-void Router::handle_ingest_eof(Conn& c) {
-  if (c.mode == Conn::WireMode::kBinary) {
-    if (const auto err = c.frame_decoder.finish()) {
-      process_frame_error(*err);
-    }
-  } else if (const auto fragment = c.decoder.finish()) {
-    process_ingest_line(fragment->text, true);
-  }
-  c.dead = true;
-}
-
-void Router::handle_read(Conn& c) {
-  char buf[65536];
-  std::size_t budget = kReadBudgetBytes;
-  while (budget > 0 && !c.dead) {
-    const ssize_t n =
-        ::recv(c.fd.get(), buf, std::min(sizeof(buf), budget), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      c.dead = true;
-      return;
-    }
-    if (n == 0) {
-      if (c.is_http) {
-        c.dead = true;
-      } else {
-        handle_ingest_eof(c);
-      }
-      return;
-    }
-    budget -= static_cast<std::size_t>(n);
-    c.last_activity = Clock::now();
-    const std::string_view chunk(buf, static_cast<std::size_t>(n));
-    if (c.is_http) {
-      const auto state = c.parser.consume(chunk);
-      if (state == HttpRequestParser::State::kDone) {
-        route_request(c);
-        return;
-      }
-      if (state == HttpRequestParser::State::kError) {
-        ++stats_.http_requests;
-        if (metrics_) {
-          metrics_->http_requests("other", c.parser.error_status()).inc();
-        }
-        c.wbuf += http_response(c.parser.error_status(), "text/plain",
-                                c.parser.error() + "\n");
-        c.close_after_write = true;
-        flush_write(c);
-        return;
-      }
-    } else {
-      if (c.mode == Conn::WireMode::kUndecided) {
-        // serve/wire.h negotiation: the first byte of the connection
-        // picks the format for its lifetime. 0xB1 cannot start a text
-        // record, so the dispatch is unambiguous.
-        c.mode = (static_cast<unsigned char>(chunk.front()) ==
-                  serve::kFrameMagic0)
-                     ? Conn::WireMode::kBinary
-                     : Conn::WireMode::kText;
-      }
-      if (c.mode == Conn::WireMode::kBinary) {
-        c.frame_decoder.feed(chunk);
-        while (auto result = c.frame_decoder.next()) {
-          if (auto* frame =
-                  std::get_if<serve::BinaryFrameDecoder::Frame>(&*result)) {
-            process_ingest_frame(*frame);
-          } else {
-            process_frame_error(std::get<serve::FrameError>(*result));
-          }
-        }
-      } else {
-        c.decoder.feed(chunk);
-        while (auto line = c.decoder.next()) {
-          process_ingest_line(line->text, line->truncated);
-        }
-      }
-    }
-  }
 }
 
 void Router::handle_readyz(int& status, std::string& content_type,
@@ -761,23 +527,23 @@ void Router::handle_summary(int& status, std::string& body) {
   }
 }
 
-void Router::handle_proxy_verdicts(std::string_view id_text, int& status,
-                                   std::string& body) {
-  trace::UserId id = 0;
-  const auto [ptr, ec] =
-      std::from_chars(id_text.data(), id_text.data() + id_text.size(), id);
-  if (id_text.empty() || ec != std::errc{} ||
-      ptr != id_text.data() + id_text.size()) {
+void Router::handle_proxy(std::string_view id_text, std::string_view what,
+                          int& status, std::string& body) {
+  const auto id = serve::parse_decimal<trace::UserId>(id_text);
+  if (!id) {
     status = 400;
     body = "{\"error\":\"bad user id\"}";
     return;
   }
-  const std::size_t owner = ring_.owner_index(id);
+  // The ring owner holds every record of this user, so its answer — the
+  // verdicts or the score, 404 for an unknown user, 409 without a model —
+  // is the cluster's.
+  const std::size_t owner = ring_.owner_index(*id);
   const BackendAddr& addr = forwarders_[owner]->addr();
   try {
     serve::HttpResponse resp = serve::http_get_deadline(
         addr.host, addr.http_port,
-        "/v1/users/" + std::to_string(id) + "/verdicts",
+        "/v1/users/" + std::to_string(*id) + std::string(what),
         fanout_deadline_ms());
     status = resp.status;
     body = std::move(resp.body);
@@ -789,49 +555,16 @@ void Router::handle_proxy_verdicts(std::string_view id_text, int& status,
   }
 }
 
-void Router::handle_proxy_score(std::string_view id_text, int& status,
-                                std::string& body) {
-  trace::UserId id = 0;
-  const auto [ptr, ec] =
-      std::from_chars(id_text.data(), id_text.data() + id_text.size(), id);
-  if (id_text.empty() || ec != std::errc{} ||
-      ptr != id_text.data() + id_text.size()) {
+void Router::handle_suspects(std::string_view k_text, int& status,
+                             std::string& body) {
+  const std::optional<std::size_t> parsed =
+      serve::parse_decimal<std::size_t>(k_text);
+  if (!parsed) {
     status = 400;
-    body = "{\"error\":\"bad user id\"}";
+    body = "{\"error\":\"bad k\"}";
     return;
   }
-  // The ring owner holds every record of this user, so its answer — score,
-  // 404 for an unknown user, 409 without a model — is the cluster's.
-  const std::size_t owner = ring_.owner_index(id);
-  const BackendAddr& addr = forwarders_[owner]->addr();
-  try {
-    serve::HttpResponse resp = serve::http_get_deadline(
-        addr.host, addr.http_port,
-        "/v1/users/" + std::to_string(id) + "/score", fanout_deadline_ms());
-    status = resp.status;
-    body = std::move(resp.body);
-  } catch (const NetError&) {
-    if (metrics_) metrics_->backend_errors[owner]->inc();
-    status = 502;
-    body = "{\"error\":\"backend unreachable\",\"backend\":\"" + addr.name +
-           "\"}";
-  }
-}
-
-void Router::handle_suspects(std::string_view target, int& status,
-                             std::string& body) {
-  std::size_t k = 10;
-  if (target != "/v1/suspects") {
-    const std::string_view k_text = target.substr(15);
-    const auto [ptr, ec] =
-        std::from_chars(k_text.data(), k_text.data() + k_text.size(), k);
-    if (k_text.empty() || ec != std::errc{} ||
-        ptr != k_text.data() + k_text.size()) {
-      status = 400;
-      body = "{\"error\":\"bad k\"}";
-      return;
-    }
-  }
+  const std::size_t k = *parsed;
   // Every backend's top-k is a superset of its contribution to the
   // cluster top-k (users never span backends), so fan out the same k and
   // re-rank the union with the backends' own total order.
@@ -1014,9 +747,7 @@ std::uint64_t Router::begin_new_epoch(std::size_t index) {
   // table would re-forward an arbitrary mid-trace suffix as if it were a
   // fresh prefix and corrupt the resume skip — the exact at-least-once
   // hole the re-send protocol exists to close.
-  for (const auto& conn : conns_) {
-    if (!conn->is_http) conn->dead = true;
-  }
+  loop_.close_ingest();
   for (const auto& [user, sent] : sent_) covered_[user] += sent;
   std::uint64_t reset_users = 0;
   for (auto& [user, cov] : covered_) {
@@ -1074,8 +805,9 @@ void Router::start_probe(std::size_t index, Clock::time_point now) {
   h.probe_off = 0;
   h.probe_out = "GET /readyz HTTP/1.1\r\nHost: " + addr.host +
                 "\r\nConnection: close\r\n\r\n";
-  h.probe_fd = probe_connect(addr.host, addr.http_port);
-  if (!h.probe_fd.valid()) {
+  try {
+    h.probe_fd = serve::tcp_connect_start(addr.host, addr.http_port);
+  } catch (const NetError&) {
     h.phase = BackendHealth::ProbePhase::kIdle;
     on_probe_failure(index);
     return;
@@ -1135,11 +867,16 @@ void Router::probe_io(std::size_t index, short revents) {
       if (n < 0 && errno == EINTR) continue;
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
       if (n == 0) {
-        int status = 0;
-        std::string instance;
-        const bool ok = parse_probe_response(h.probe_in, status, instance) &&
-                        status == 200;
-        finish_probe(index, ok, std::move(instance));
+        // serve stamps Geovalid-Instance on /readyz so the router can tell
+        // a connection blip from a process restart.
+        try {
+          const serve::HttpResponse resp =
+              serve::parse_http_response(h.probe_in, "GET", "/readyz");
+          finish_probe(index, resp.status == 200,
+                       resp.header("Geovalid-Instance"));
+        } catch (const NetError&) {
+          finish_probe(index, /*ok=*/false, {});
+        }
         return;
       }
       finish_probe(index, /*ok=*/false, {});
@@ -1227,164 +964,68 @@ void Router::on_probe_failure(std::size_t index) {
   }
 }
 
-void Router::route_request(Conn& c) {
-  const HttpRequest& req = c.parser.request();
+void Router::on_answered(std::string_view route, int status) {
   ++stats_.http_requests;
+  if (metrics_) metrics_->http_requests(std::string(route), status).inc();
+}
 
-  std::string route = "other";
-  int status = 404;
-  std::string body = "{\"error\":\"not found\"}";
-  std::string content_type = "application/json";
-
-  const auto respond_method_not_allowed = [&](const char* route_name) {
-    route = route_name;
-    status = 405;
-    body = "{\"error\":\"method not allowed\"}";
-  };
-
-  if (req.target == "/healthz") {
-    route = "/healthz";
-    if (req.method == "GET") {
-      status = 200;
-      content_type = "text/plain";
-      body = "ok\n";
-    } else {
-      respond_method_not_allowed("/healthz");
-    }
-  } else if (req.target == "/readyz") {
-    route = "/readyz";
-    if (req.method == "GET") {
+serve::HttpReply Router::on_request(const HttpRequest& req) {
+  using serve::Route;
+  const auto [route, param] = serve::match_route(req.target, /*backends=*/true);
+  serve::HttpReply reply = serve::route_reply(route, req.method);
+  if (reply.status != 200) return reply;
+  switch (route) {
+    case Route::kHealthz:
+      reply.content_type = "text/plain";
+      reply.body = "ok\n";
+      break;
+    case Route::kReadyz:
       if (drain_requested_) {
-        status = 503;
-        body = "{\"error\":\"draining\"}";
+        reply.status = 503;
+        reply.body = "{\"error\":\"draining\"}";
       } else {
-        handle_readyz(status, content_type, body);
+        handle_readyz(reply.status, reply.content_type, reply.body);
       }
-    } else {
-      respond_method_not_allowed("/readyz");
-    }
-  } else if (req.target == "/metrics") {
-    route = "/metrics";
-    if (req.method == "GET") {
-      handle_metrics(status, content_type, body);
-    } else {
-      respond_method_not_allowed("/metrics");
-    }
-  } else if (req.target == "/v1/summary") {
-    route = "/v1/summary";
-    if (req.method == "GET") {
-      handle_summary(status, body);
-    } else {
-      respond_method_not_allowed("/v1/summary");
-    }
-  } else if (req.target.rfind("/v1/users/", 0) == 0 &&
-             req.target.size() > 10 &&
-             req.target.compare(req.target.size() - 9, 9, "/verdicts") ==
-                 0) {
-    route = "/v1/users/{id}/verdicts";
-    if (req.method == "GET") {
-      handle_proxy_verdicts(
-          std::string_view(req.target).substr(10, req.target.size() - 19),
-          status, body);
-    } else {
-      respond_method_not_allowed("/v1/users/{id}/verdicts");
-    }
-  } else if (req.target.rfind("/v1/users/", 0) == 0 &&
-             req.target.size() > 10 &&
-             req.target.compare(req.target.size() - 6, 6, "/score") == 0) {
-    route = "/v1/users/{id}/score";
-    if (req.method == "GET") {
-      handle_proxy_score(
-          std::string_view(req.target).substr(10, req.target.size() - 16),
-          status, body);
-    } else {
-      respond_method_not_allowed("/v1/users/{id}/score");
-    }
-  } else if (req.target == "/v1/suspects" ||
-             req.target.rfind("/v1/suspects?k=", 0) == 0) {
-    route = "/v1/suspects";
-    if (req.method == "GET") {
-      handle_suspects(req.target, status, body);
-    } else {
-      respond_method_not_allowed("/v1/suspects");
-    }
-  } else if (req.target == "/admin/checkpoint") {
-    route = "/admin/checkpoint";
-    if (req.method == "POST") {
-      handle_checkpoint(status, body);
-    } else {
-      respond_method_not_allowed("/admin/checkpoint");
-    }
-  } else if (req.target == "/admin/drain") {
-    route = "/admin/drain";
-    if (req.method != "POST") {
-      respond_method_not_allowed("/admin/drain");
-    } else if (drain_done_) {
-      status = drain_status_;
-      body = drain_body_;
-    } else {
-      // Deferred: the router stops accepting ingest, reads the connected
-      // streams to EOF, pushes every buffered record, closes the
-      // forwarder connections (EOF to the backends) and fans the drain
-      // out — the caller is answered only when the whole cluster has
-      // quiesced (complete_drain()).
-      drain_requested_ = true;
-      c.awaiting_drain = true;
-      if (metrics_) metrics_->http_requests(route, 200).inc();
-      return;
-    }
-  } else if (req.target.rfind("/admin/backends/", 0) == 0 &&
-             req.target.size() > 16) {
-    route = "/admin/backends/{name}";
-    if (req.method == "POST") {
-      handle_replace(req.target.substr(16), req.body, status, body);
-    } else {
-      respond_method_not_allowed("/admin/backends/{name}");
-    }
-  }
-
-  if (metrics_) metrics_->http_requests(route, status).inc();
-  c.wbuf += http_response(status, content_type, body);
-  c.close_after_write = true;
-  flush_write(c);
-}
-
-void Router::flush_write(Conn& c) {
-  while (c.woff < c.wbuf.size()) {
-    const ssize_t n = ::send(c.fd.get(), c.wbuf.data() + c.woff,
-                             c.wbuf.size() - c.woff, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      c.dead = true;
-      return;
-    }
-    c.woff += static_cast<std::size_t>(n);
-  }
-  c.wbuf.clear();
-  c.woff = 0;
-  if (c.close_after_write) c.dead = true;
-}
-
-void Router::sweep_idle(Clock::time_point now) {
-  if (config_.idle_timeout_s <= 0) return;
-  const auto timeout = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(config_.idle_timeout_s));
-  for (auto& conn : conns_) {
-    if (conn->dead) continue;
-    if (now - conn->last_activity > timeout) {
-      if (!conn->is_http) {
-        if (conn->mode == Conn::WireMode::kBinary) {
-          if (const auto err = conn->frame_decoder.finish()) {
-            process_frame_error(*err);
-          }
-        } else if (const auto fragment = conn->decoder.finish()) {
-          process_ingest_line(fragment->text, true);
-        }
+      break;
+    case Route::kMetrics:
+      handle_metrics(reply.status, reply.content_type, reply.body);
+      break;
+    case Route::kSummary:
+      handle_summary(reply.status, reply.body);
+      break;
+    case Route::kVerdicts:
+      handle_proxy(param, "/verdicts", reply.status, reply.body);
+      break;
+    case Route::kScore:
+      handle_proxy(param, "/score", reply.status, reply.body);
+      break;
+    case Route::kSuspects:
+      handle_suspects(param, reply.status, reply.body);
+      break;
+    case Route::kCheckpoint:
+      handle_checkpoint(reply.status, reply.body);
+      break;
+    case Route::kDrain:
+      if (drain_done_) {
+        reply.status = drain_status_;
+        reply.body = drain_body_;
+      } else {
+        // Deferred: the router stops accepting ingest, reads the connected
+        // streams to EOF, pushes every buffered record, closes the
+        // forwarder connections (EOF to the backends) and fans the drain
+        // out — the caller is answered only when the whole cluster has
+        // quiesced (complete_drain()).
+        drain_requested_ = true;
+        reply.await_drain = true;
       }
-      conn->dead = true;
-    }
+      break;
+    case Route::kBackends:
+      handle_replace(std::string(param), req.body, reply.status, reply.body);
+      break;
+    case Route::kOther:
+      break;  // unmatched: route_reply already answered 404
   }
+  return reply;
 }
 
 void Router::update_backend_gauges() {
@@ -1512,38 +1153,51 @@ void Router::complete_drain() {
     drain_body_ += "}";
   }
   drain_done_ = true;
-  for (const auto& conn : conns_) {
-    if (conn->dead || !conn->awaiting_drain) continue;
-    conn->awaiting_drain = false;
-    if (metrics_ && drain_status_ != 200) {
-      metrics_->http_requests("/admin/drain", drain_status_).inc();
-    }
-    conn->wbuf += http_response(drain_status_, "application/json",
-                                drain_body_);
-    conn->close_after_write = true;
-    flush_write(*conn);
+  loop_.answer_drain_waiters(drain_status_, drain_body_);
+}
+
+void Router::forwarder_io(Forwarder& f, bool binary, short revents) {
+  if (!f.connected()) return;
+  if ((revents & (POLLERR | POLLNVAL | POLLHUP)) != 0) {
+    f.sever();
+    return;
   }
+  if ((revents & POLLIN) != 0) {
+    // The backend never sends on its ingest sockets; readable here means
+    // EOF or reset (either channel — one dead channel means the process
+    // behind both is gone).
+    char probe[256];
+    const ssize_t n =
+        ::recv(binary ? f.binary_fd() : f.fd(), probe, sizeof(probe), 0);
+    if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+                   errno != EINTR)) {
+      f.sever();
+      return;
+    }
+  }
+  if ((revents & POLLOUT) != 0) f.flush();
 }
 
 RouteStats Router::run(const std::atomic<bool>* stop) {
   if (!started_) throw std::logic_error("Router::run before start()");
 
-  std::vector<pollfd> pollfds;
-  std::vector<std::size_t> conn_of_pollfd;
+  // Extra fds for the connection core's poll step, with who owns each:
+  // a forwarder channel (text or binary) or an in-flight health probe.
+  enum class ExtraKind : std::uint8_t { kText, kBinary, kProbe };
+  std::vector<pollfd> extra;
+  std::vector<std::pair<ExtraKind, std::size_t>> extra_owner;
+  const auto on_extra = [&](std::size_t i, short revents) {
+    const auto [kind, index] = extra_owner[i];
+    if (kind == ExtraKind::kProbe) {
+      probe_io(index, revents);
+    } else {
+      forwarder_io(*forwarders_[index], kind == ExtraKind::kBinary, revents);
+    }
+  };
 
   while (true) {
     if (stop != nullptr && stop->load(std::memory_order_relaxed)) break;
-    if (drain_done_) {
-      bool waiting = false;
-      for (const auto& c : conns_) {
-        if (!c->dead && (c->awaiting_drain || !c->wbuf.empty())) {
-          waiting = true;
-          break;
-        }
-      }
-      if (!waiting) break;
-    }
-
+    if (drain_done_ && !loop_.answering()) break;
     // Backpressure with hysteresis: pause client reads when any backend
     // queue crosses the high-water mark — the socket buffer or the spool
     // (a long outage fills the spool budget instead of router memory; the
@@ -1568,130 +1222,42 @@ RouteStats Router::run(const std::atomic<bool>* stop) {
       paused_ = false;
     }
 
-    pollfds.clear();
-    conn_of_pollfd.clear();
-    const bool at_cap = conns_.size() >= config_.max_connections;
-    if (!at_cap && !drain_requested_ && !paused_) {
-      pollfds.push_back({ingest_listener_.get(), POLLIN, 0});
-      conn_of_pollfd.push_back(kIngestListener);
-    }
-    if (!at_cap) {
-      pollfds.push_back({http_listener_.get(), POLLIN, 0});
-      conn_of_pollfd.push_back(kHttpListener);
-    }
+    extra.clear();
+    extra_owner.clear();
+    const auto watch = [&](int fd, int events, ExtraKind kind, std::size_t i) {
+      extra.push_back({fd, static_cast<short>(events), 0});
+      extra_owner.emplace_back(kind, i);
+    };
     for (std::size_t i = 0; i < forwarders_.size(); ++i) {
       const Forwarder& f = *forwarders_[i];
       if (!f.connected()) continue;
       // POLLIN watches for the backend closing its end (drain/death);
       // POLLOUT drains the queue. The binary channel, once open, gets
-      // the same treatment under its own sentinel range.
-      short events = POLLIN;
-      if (f.wants_write()) events |= POLLOUT;
-      pollfds.push_back({f.fd(), events, 0});
-      conn_of_pollfd.push_back(kForwarderBase + i);
+      // the same treatment.
+      watch(f.fd(), f.wants_write() ? POLLIN | POLLOUT : POLLIN,
+            ExtraKind::kText, i);
       if (f.binary_fd() >= 0) {
-        short bin_events = POLLIN;
-        if (f.wants_binary_write()) bin_events |= POLLOUT;
-        pollfds.push_back({f.binary_fd(), bin_events, 0});
-        conn_of_pollfd.push_back(kForwarderBinBase + i);
+        watch(f.binary_fd(), f.wants_binary_write() ? POLLIN | POLLOUT : POLLIN,
+              ExtraKind::kBinary, i);
       }
     }
     for (std::size_t i = 0; i < health_.size(); ++i) {
       const BackendHealth& h = health_[i];
-      if (h.phase == BackendHealth::ProbePhase::kIdle ||
-          !h.probe_fd.valid()) {
-        continue;
+      if (h.phase != BackendHealth::ProbePhase::kIdle && h.probe_fd.valid()) {
+        watch(h.probe_fd.get(),
+              h.phase == BackendHealth::ProbePhase::kReading ? POLLIN : POLLOUT,
+              ExtraKind::kProbe, i);
       }
-      const short events =
-          h.phase == BackendHealth::ProbePhase::kReading ? POLLIN
-                                                         : POLLOUT;
-      pollfds.push_back({h.probe_fd.get(), events, 0});
-      conn_of_pollfd.push_back(kProbeBase + i);
-    }
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-      const Conn& c = *conns_[i];
-      short events = 0;
-      if (c.is_http || !paused_) events |= POLLIN;
-      if (c.woff < c.wbuf.size()) events |= POLLOUT;
-      if (events == 0) continue;  // paused ingest conn: leave it queued
-      pollfds.push_back({c.fd.get(), events, 0});
-      conn_of_pollfd.push_back(i);
     }
 
-    const int ready = ::poll(pollfds.data(),
-                             static_cast<nfds_t>(pollfds.size()),
-                             kPollTimeoutMs);
-    if (ready < 0 && errno != EINTR) {
-      throw NetError(std::string("poll: ") + std::strerror(errno));
-    }
-
-    for (std::size_t i = 0; i < pollfds.size(); ++i) {
-      if (pollfds[i].revents == 0) continue;
-      const std::size_t tag = conn_of_pollfd[i];
-      if (tag == kIngestListener) {
-        accept_ready(ingest_listener_, /*is_http=*/false);
-        continue;
-      }
-      if (tag == kHttpListener) {
-        accept_ready(http_listener_, /*is_http=*/true);
-        continue;
-      }
-      if (tag >= kForwarderBinBase) {
-        const bool binary = tag < kForwarderBase;
-        Forwarder& f = *forwarders_[binary ? tag - kForwarderBinBase
-                                           : tag - kForwarderBase];
-        if (!f.connected()) continue;
-        if ((pollfds[i].revents & (POLLERR | POLLNVAL | POLLHUP)) != 0) {
-          f.sever();
-          continue;
-        }
-        if ((pollfds[i].revents & POLLIN) != 0) {
-          // The backend never sends on its ingest sockets; readable here
-          // means EOF or reset (either channel — one dead channel means
-          // the process behind both is gone).
-          char probe[256];
-          const ssize_t n =
-              ::recv(binary ? f.binary_fd() : f.fd(), probe, sizeof(probe),
-                     0);
-          if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                         errno != EINTR)) {
-            f.sever();
-            continue;
-          }
-        }
-        if ((pollfds[i].revents & POLLOUT) != 0) f.flush();
-        continue;
-      }
-      if (tag >= kProbeBase) {
-        probe_io(tag - kProbeBase, pollfds[i].revents);
-        continue;
-      }
-      Conn& c = *conns_[tag];
-      if (c.dead) continue;
-      if ((pollfds[i].revents & (POLLERR | POLLNVAL)) != 0) {
-        c.dead = true;
-        continue;
-      }
-      if ((pollfds[i].revents & POLLOUT) != 0) flush_write(c);
-      if (!c.dead && (pollfds[i].revents & (POLLIN | POLLHUP)) != 0) {
-        handle_read(c);
-      }
-    }
+    loop_.step(drain_requested_ || paused_ ? -1 : ingest_listener_.get(),
+               http_listener_.get(), /*read_ingest=*/!paused_, extra,
+               on_extra);
 
     if (!drain_done_) check_health_timers(Clock::now());
 
-    sweep_idle(Clock::now());
-
-    for (const auto& c : conns_) {
-      if (c->dead) (c->is_http ? active_http_ : active_ingest_) -= 1;
-    }
-    conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
-                                [](const std::unique_ptr<Conn>& c) {
-                                  return c->dead;
-                                }),
-                 conns_.end());
-
-    if (drain_requested_ && !drain_done_ && active_ingest_ == 0) {
+    if (drain_requested_ && !drain_done_ &&
+        counts_.ingest.load(std::memory_order_relaxed) == 0) {
       complete_drain();
     }
 
@@ -1702,8 +1268,8 @@ RouteStats Router::run(const std::atomic<bool>* stop) {
   // stop path (SIGTERM) pushes what it can and leaves the backends up.
   ingest_listener_.reset();
   http_listener_.reset();
-  conns_.clear();
-  active_ingest_ = active_http_ = 0;
+  loop_.close_all();
+  stats_.connections = counts_.accepted.load(std::memory_order_relaxed);
   if (drain_done_) {
     stats_.exit = RouteExit::kDrained;
   } else {

@@ -63,6 +63,7 @@
 
 #include "cluster/forwarder.h"
 #include "cluster/ring.h"
+#include "serve/conn_loop.h"
 #include "serve/net.h"
 #include "serve/wire.h"
 #include "stream/quarantine.h"
@@ -144,12 +145,14 @@ struct RouteStats {
   std::uint64_t connections = 0;
 };
 
-class Router {
+/// The connection handling (accept, reads, wire sniff, idle sweep, drain
+/// waiters) is serve's ConnLoop; the Router is its policy.
+class Router final : private serve::ConnHandler {
  public:
   /// Validates the backend list and builds the ring. Throws
   /// std::invalid_argument on an empty list or duplicate names.
   explicit Router(RouteConfig config);
-  ~Router();
+  ~Router() override;
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
@@ -174,25 +177,24 @@ class Router {
   }
 
  private:
-  struct Conn;
   struct Metrics;
   using Clock = std::chrono::steady_clock;
 
   void register_metrics();
-  void accept_ready(serve::Fd& listener, bool is_http);
-  void handle_read(Conn& c);
-  void handle_ingest_eof(Conn& c);
-  void process_ingest_line(std::string_view text, bool truncated);
+  // serve::ConnHandler: the routing policy over the shared connection core.
+  void on_line(std::string_view text, bool truncated) override;
   /// One decoded binary frame: per-record epoch accounting, then the
   /// surviving events are partitioned by ring owner, re-encoded as one
   /// sub-frame per backend and queued on the binary channels.
-  void process_ingest_frame(serve::BinaryFrameDecoder::Frame& frame);
+  void on_frame(serve::BinaryFrameDecoder::Frame& frame) override;
   /// One rejected binary frame: counted as a single malformed record and
   /// dead-lettered (hex-prefix detail) as `malformed_frame`.
-  void process_frame_error(const serve::FrameError& error);
-  void route_request(Conn& c);
-  void flush_write(Conn& c);
-  void sweep_idle(Clock::time_point now);
+  void on_frame_error(const serve::FrameError& error) override;
+  serve::HttpReply on_request(const serve::HttpRequest& req) override;
+  void on_answered(std::string_view route, int status) override;
+
+  /// Poll events on one forwarder channel (text, or the binary one).
+  void forwarder_io(Forwarder& f, bool binary, short revents);
   void update_backend_gauges();
 
   /// Drives every pending forwarder buffer to the kernel, polling up to
@@ -204,7 +206,7 @@ class Router {
   // -- Self-healing (probe loop + reconnect + recovery protocol) --------
 
   /// Non-blocking health probe to one backend's GET /readyz, driven by
-  /// the router's poll loop under its own fd tag.
+  /// the router's poll loop as an extra fd.
   struct BackendHealth {
     enum class ProbePhase : std::uint8_t {
       kIdle,
@@ -254,15 +256,14 @@ class Router {
   void handle_metrics(int& status, std::string& content_type,
                       std::string& body);
   void handle_summary(int& status, std::string& body);
-  void handle_proxy_verdicts(std::string_view id_text, int& status,
-                             std::string& body);
-  /// Score lookup proxied to the ring owner (docs/DETECTION.md).
-  void handle_proxy_score(std::string_view id_text, int& status,
-                          std::string& body);
-  /// /v1/suspects[?k=N]: fan out, merge the per-backend top-k lists into
-  /// one ranking (score desc, user id asc; score bytes re-emitted
-  /// verbatim), lead the body with "backends":N.
-  void handle_suspects(std::string_view target, int& status,
+  /// GET /v1/users/{id}`what` (/verdicts, or /score — docs/DETECTION.md)
+  /// proxied to the ring owner.
+  void handle_proxy(std::string_view id_text, std::string_view what,
+                    int& status, std::string& body);
+  /// /v1/suspects[?k=N] (`k_text`, "10" by default): fan out, merge the
+  /// per-backend top-k lists into one ranking (score desc, user id asc;
+  /// score bytes re-emitted verbatim), lead the body with "backends":N.
+  void handle_suspects(std::string_view k_text, int& status,
                        std::string& body);
   void handle_checkpoint(int& status, std::string& body);
   void handle_replace(const std::string& name, const std::string& json,
@@ -282,9 +283,8 @@ class Router {
   std::uint16_t http_port_ = 0;
   bool started_ = false;
 
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::size_t active_ingest_ = 0;
-  std::size_t active_http_ = 0;
+  serve::ConnCounts counts_;
+  serve::ConnLoop loop_;
   bool paused_ = false;  ///< backpressure: ingest reads suspended
 
   /// Epoch accounting (see the header comment): `covered_` is the prefix

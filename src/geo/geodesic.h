@@ -28,19 +28,10 @@ namespace geovalid::geo {
 /// reject the far candidates that dominate those scans.
 [[nodiscard]] double bound_distance_m(const LatLon& a, const LatLon& b);
 
-/// Initial bearing from `a` to `b`, degrees clockwise from true north,
-/// in [0, 360).
-[[nodiscard]] double initial_bearing_deg(const LatLon& a, const LatLon& b);
-
 /// Destination point reached by travelling `distance_m` metres from `origin`
 /// along `bearing_deg` (degrees clockwise from north) on a great circle.
 [[nodiscard]] LatLon destination(const LatLon& origin, double bearing_deg,
                                  double distance_meters);
-
-/// Average speed implied by moving between two positions over `seconds`,
-/// metres/second. Returns 0 when `seconds <= 0`.
-[[nodiscard]] double speed_mps(const LatLon& a, const LatLon& b,
-                               double seconds);
 
 /// Unit helpers used by the driveby-checkin classifier (threshold is 4 mph
 /// in the paper).

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "serve/http.h"
 #include "serve/net.h"
 #include "serve/wire.h"
 
@@ -169,12 +169,6 @@ ConnResult replay_connection(const LoadgenConfig& config,
                                     config.net_faults.seed, index)));
     ++result.reconnects;
   }
-}
-
-void append_json_number(std::string& out, double v) {
-  char buf[40];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, static_cast<std::size_t>(p - buf));
 }
 
 }  // namespace

@@ -147,6 +147,73 @@ std::string http_response(
   return out;
 }
 
+std::string_view route_label(Route route) {
+  static constexpr std::string_view kLabels[kRouteCount] = {
+      "/healthz",          "/readyz",
+      "/metrics",          "/v1/summary",
+      "/v1/users/{id}/verdicts",
+      "/v1/users/{id}/score",
+      "/v1/suspects",      "/admin/checkpoint",
+      "/admin/drain",      "/admin/backends/{name}",
+      "other",
+  };
+  return kLabels[static_cast<std::size_t>(route)];
+}
+
+RouteMatch match_route(std::string_view target, bool backends) {
+  for (const Route exact : {Route::kHealthz, Route::kReadyz, Route::kMetrics,
+                            Route::kSummary, Route::kCheckpoint,
+                            Route::kDrain}) {
+    if (target == route_label(exact)) return {exact, {}};
+  }
+  if (target == "/v1/suspects") return {Route::kSuspects, "10"};
+  if (target.starts_with("/v1/suspects?k=")) {
+    return {Route::kSuspects, target.substr(15)};
+  }
+  if (target.starts_with("/v1/users/") && target.size() > 10) {
+    // Whatever sits between the prefix and the suffix is the id (an
+    // empty or overlapping one parses as a bad id).
+    const std::size_t n = target.size();
+    if (target.ends_with("/verdicts")) {
+      return {Route::kVerdicts, n < 19 ? "" : target.substr(10, n - 19)};
+    }
+    if (target.ends_with("/score")) {
+      return {Route::kScore, n < 16 ? "" : target.substr(10, n - 16)};
+    }
+  }
+  if (backends && target.starts_with("/admin/backends/") &&
+      target.size() > 16) {
+    return {Route::kBackends, target.substr(16)};
+  }
+  return {};
+}
+
+HttpReply route_reply(Route route, std::string_view method) {
+  HttpReply reply;
+  if (route == Route::kOther) return reply;
+  reply.route = route_label(route);
+  const bool admin = route == Route::kCheckpoint || route == Route::kDrain ||
+                     route == Route::kBackends;
+  if (method != (admin ? "POST" : "GET")) {
+    reply.status = 405;
+    reply.body = "{\"error\":\"method not allowed\"}";
+  } else {
+    reply.status = 200;
+    reply.body.clear();
+  }
+  return reply;
+}
+
+void append_json_number(std::string& out, double v) {
+  char buf[40];
+  const auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, static_cast<std::size_t>(p - buf));
+}
+
+void append_json_number(std::string& out, std::uint64_t v) {
+  out += std::to_string(v);
+}
+
 std::string_view http_status_text(int status) {
   switch (status) {
     case 200:

@@ -8,7 +8,9 @@
 // No keep-alive, no chunked transfer, no TLS.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -76,7 +78,60 @@ class HttpRequestParser {
     const std::vector<std::pair<std::string, std::string>>& extra_headers =
         {});
 
+/// One control-plane answer. `route` is the metric label it is counted
+/// under; `await_drain` defers it (the caller waits in the connection core
+/// until ConnLoop::answer_drain_waiters).
+struct HttpReply {
+  std::string route = "other";
+  int status = 404;
+  std::string content_type = "application/json";
+  std::string body = "{\"error\":\"not found\"}";
+  std::vector<std::pair<std::string, std::string>> headers = {};
+  bool await_drain = false;
+};
+
+/// The control-plane routes of serve and route, in metric-label order;
+/// kBackends (the rebalance hook) is the router's alone.
+enum class Route : std::uint8_t {
+  kHealthz, kReadyz, kMetrics, kSummary, kVerdicts, kScore, kSuspects,
+  kCheckpoint, kDrain, kBackends, kOther,
+};
+inline constexpr std::size_t kRouteCount =
+    static_cast<std::size_t>(Route::kOther) + 1;
+
+/// The route's metric label: its path pattern, or "other".
+[[nodiscard]] std::string_view route_label(Route route);
+
+struct RouteMatch {
+  Route route = Route::kOther;
+  /// The {id} or {name} segment; for /v1/suspects the k text ("10" when
+  /// the target carries no ?k=).
+  std::string_view param;
+};
+
+/// Matches a request target; `backends` enables /admin/backends/{name}.
+[[nodiscard]] RouteMatch match_route(std::string_view target, bool backends);
+
+/// The reply skeleton for a matched route: labelled, 404 for kOther, 405
+/// when `method` is not the route's (POST for /admin/*, GET otherwise),
+/// otherwise status 200 for the daemon to fill in.
+[[nodiscard]] HttpReply route_reply(Route route, std::string_view method);
+
+/// A whole-string unsigned decimal (user ids, k); nullopt otherwise.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_decimal(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
 /// Canonical reason phrase ("OK", "Not Found", ...); "Unknown" otherwise.
 [[nodiscard]] std::string_view http_status_text(int status);
+
+/// Appends a JSON number: shortest round-trip form for doubles.
+void append_json_number(std::string& out, double v);
+void append_json_number(std::string& out, std::uint64_t v);
 
 }  // namespace geovalid::serve

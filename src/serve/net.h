@@ -66,7 +66,13 @@ class Fd {
 /// Blocking connect to host:port. Throws NetError.
 [[nodiscard]] Fd tcp_connect(const std::string& host, std::uint16_t port);
 
-/// Connect with a deadline: non-blocking connect + poll, so a blackholed
+/// Non-blocking connect start: the returned fd's connect is in flight (or
+/// already complete) — poll it for POLLOUT, then read SO_ERROR. Never
+/// blocks; throws NetError on immediate failure.
+[[nodiscard]] Fd tcp_connect_start(const std::string& host,
+                                   std::uint16_t port);
+
+/// Connect with a deadline: tcp_connect_start + poll, so a blackholed
 /// or unroutable peer fails in `timeout_ms` instead of the kernel's
 /// minutes-long default. The returned fd is left non-blocking. Throws
 /// NetError; the timeout message contains "deadline".
@@ -93,6 +99,13 @@ struct HttpResponse {
   /// Case-insensitive single-header lookup; empty when absent.
   [[nodiscard]] std::string header(std::string_view name) const;
 };
+
+/// Parses one raw `Connection: close` response (status line, header
+/// block, body); `method`/`target` only label the NetError thrown for a
+/// short or malformed response.
+[[nodiscard]] HttpResponse parse_http_response(const std::string& raw,
+                                               const std::string& method,
+                                               const std::string& target);
 
 [[nodiscard]] HttpResponse http_get(const std::string& host,
                                     std::uint16_t port,

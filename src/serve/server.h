@@ -4,9 +4,9 @@
 // Reactor model (ServeConfig::reactors, default 1):
 //   - Every reactor polls the one shared non-blocking ingest listener
 //     (shared accept: the kernel wakes whoever it likes, losers see
-//     EAGAIN) and owns the connections it wins outright — poll set, line
-//     decoding, write buffers, idle sweep. A global atomic connection
-//     count enforces --max-connections without overshoot.
+//     EAGAIN) and owns the connections it wins outright in its own
+//     ConnLoop (serve/conn_loop.h, the core the router shares). A global
+//     atomic connection count enforces --max-connections without overshoot.
 //   - Each reactor feeds the engine through its own
 //     stream::StreamEngine::Producer handle: private per-shard staging,
 //     handoff under the owning shard's mailbox mutex only. There is no
@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "score/model.h"
+#include "serve/conn_loop.h"
 #include "serve/net.h"
 #include "serve/wire.h"
 #include "stream/engine.h"
@@ -176,7 +177,6 @@ class Server {
   }
 
  private:
-  struct Conn;
   struct Reactor;
   struct Metrics;
 
@@ -195,9 +195,6 @@ class Server {
   std::filesystem::path write_checkpoint_now();
   void reactor_loop(Reactor& r, const std::atomic<bool>* stop,
                     bool* stopped_out);
-  void accept_ready(Reactor& r, Fd& listener, bool is_http);
-  void handle_read(Reactor& r, Conn& c);
-  void handle_ingest_eof(Reactor& r, Conn& c);
   void process_ingest_line(Reactor& r, std::string_view text, bool truncated);
   /// One decoded binary frame: per-record coverage/replay accounting, then
   /// the surviving events reach the engine via one Producer::stage_batch.
@@ -205,9 +202,7 @@ class Server {
   /// One rejected binary frame: counted under the typed reason and
   /// dead-lettered (hex-prefix detail) as `malformed_frame`.
   void process_frame_error(const FrameError& error);
-  void route_request(Reactor& r, Conn& c);
-  void flush_write(Conn& c);
-  void sweep_idle(Reactor& r, std::chrono::steady_clock::time_point now);
+  [[nodiscard]] HttpReply route_request(Reactor& r, const HttpRequest& req);
   /// Non-zero reactors call this at their loop top: when the pause gate is
   /// raised, flush the producer, report parked and wait for release.
   void park_if_paused(Reactor& r);
@@ -241,12 +236,8 @@ class Server {
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::string instance_id_;
 
-  /// Open connections across all reactors; the slot under
-  /// max_connections is reserved (CAS) before accept4 so racing reactors
-  /// never overshoot the cap.
-  std::atomic<std::size_t> total_conns_{0};
-  std::atomic<std::size_t> active_ingest_{0};
-  std::size_t active_http_ = 0;  ///< reactor 0 only (HTTP is pinned there)
+  /// Open connections across all reactors, held under max_connections.
+  ConnCounts conns_;
   bool was_at_cap_ = false;      ///< reactor 0 only (backpressure episodes)
 
   /// Per-user records accepted (lifetime, incl. restored coverage) and the
@@ -283,7 +274,6 @@ class Server {
   std::atomic<std::uint64_t> records_replayed_{0};
   std::atomic<std::uint64_t> records_malformed_{0};
   std::atomic<std::uint64_t> http_requests_{0};
-  std::atomic<std::uint64_t> connections_{0};
 
   ServeStats stats_;
   std::unique_ptr<Metrics> metrics_;

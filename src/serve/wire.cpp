@@ -546,6 +546,13 @@ std::optional<BinaryFrameDecoder::Result> BinaryFrameDecoder::next() {
                       frame_detail(FrameErrorKind::kCrcMismatch, frame)};
   }
 
+  // The smallest payload `count` records fit in: the kind bitmap plus one
+  // varint byte each for user and timestamp. Checked before sizing the
+  // output, so a tiny frame cannot claim an allocation it cannot fill.
+  if (payload_len < (count + 7) / 8 + 2 * std::uint64_t{count}) {
+    return FrameError{FrameErrorKind::kBadPayload,
+                      frame_detail(FrameErrorKind::kBadPayload, frame)};
+  }
   PayloadReader r{data + kFrameHeaderBytes, payload_len};
   Frame out;
   out.wire_bytes = total;

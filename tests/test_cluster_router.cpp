@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cluster/router.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/net.h"
 #include "serve/server.h"
@@ -359,6 +360,59 @@ TEST(ClusterRouter, CheckpointFanOutIsAllOrError) {
   EXPECT_NE(r.body.find("\"name\":\"b0\""), std::string::npos);
   EXPECT_NE(r.body.find("\"name\":\"b1\""), std::string::npos);
   (void)tc.drain_and_join();
+}
+
+TEST(ClusterRouter, IdleSweepSparesAPendingDrainCaller) {
+  TestCluster tc(2, {}, [](RouteConfig& rc) { rc.idle_timeout_s = 0.3; });
+
+  // An ingest client that keeps streaming for 1 s: the router's drain
+  // waits for its EOF, more than three idle timeouts for the silent drain
+  // caller.
+  Fd c = tcp_connect("127.0.0.1", tc.ingest_port());
+  ASSERT_TRUE(send_all(c.get(), "checkin,7,1000,1,Food,37.0,-122.0\n"));
+  std::thread feeder([&c] {
+    for (int i = 1; i < 10; ++i) {
+      std::this_thread::sleep_for(100ms);
+      const std::string t = std::to_string(1000 + 60 * i);
+      EXPECT_TRUE(send_all(c.get(),
+                           "checkin,7," + t + ",1,Food,37.0,-122.0\n"));
+    }
+    c.reset();
+  });
+  HttpResponse drained;
+  EXPECT_NO_THROW(drained = http_post("127.0.0.1", tc.http_port(),
+                                      "/admin/drain"));
+  feeder.join();
+  tc.loop.join();
+  for (auto& b : tc.backends) b->join();
+  EXPECT_EQ(drained.status, 200);
+  EXPECT_EQ(tc.stats.exit, RouteExit::kDrained);
+  EXPECT_EQ(tc.stats.records_forwarded, 10u);
+}
+
+TEST(ClusterRouter, FailedDrainIsCountedOnce) {
+  TestCluster tc(2, {}, [](RouteConfig& rc) { rc.metrics = true; });
+  const auto drain_requests = [](const char* status) {
+    return obs::registry()
+        .counter("cluster_http_requests_total",
+                 "Router control-plane requests, by route and response "
+                 "status",
+                 {{"route", "/admin/drain"}, {"status", status}})
+        .value();
+  };
+  const std::uint64_t ok_before = drain_requests("200");
+  const std::uint64_t failed_before = drain_requests("502");
+
+  // One backend gone: the drain fan-out fails and the caller gets 502.
+  tc.backends[1]->stop.store(true);
+  tc.backends[1]->join();
+  const HttpResponse r = http_post("127.0.0.1", tc.http_port(), "/admin/drain");
+  tc.loop.join();
+  tc.backends[0]->join();
+  EXPECT_EQ(r.status, 502);
+  EXPECT_NE(r.body.find("\"b1\""), std::string::npos) << r.body;
+  EXPECT_EQ(drain_requests("502"), failed_before + 1);
+  EXPECT_EQ(drain_requests("200"), ok_before);
 }
 
 TEST(ClusterRouter, StopFlagLeavesBackendsRunning) {

@@ -144,22 +144,6 @@ TEST(Geodesic, DestinationRoundTrip) {
   }
 }
 
-TEST(Geodesic, InitialBearingCardinalDirections) {
-  const LatLon origin{0.0, 0.0};
-  EXPECT_NEAR(initial_bearing_deg(origin, LatLon{1.0, 0.0}), 0.0, 0.01);
-  EXPECT_NEAR(initial_bearing_deg(origin, LatLon{0.0, 1.0}), 90.0, 0.01);
-  EXPECT_NEAR(initial_bearing_deg(origin, LatLon{-1.0, 0.0}), 180.0, 0.01);
-  EXPECT_NEAR(initial_bearing_deg(origin, LatLon{0.0, -1.0}), 270.0, 0.01);
-}
-
-TEST(Geodesic, SpeedComputation) {
-  const LatLon a{0.0, 0.0};
-  const LatLon b = destination(a, 90.0, 600.0);
-  EXPECT_NEAR(speed_mps(a, b, 60.0), 10.0, 0.05);
-  EXPECT_DOUBLE_EQ(speed_mps(a, b, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(speed_mps(a, b, -5.0), 0.0);
-}
-
 TEST(Geodesic, MphConversionRoundTrip) {
   EXPECT_NEAR(mph_to_mps(4.0), 1.78816, 1e-9);
   EXPECT_NEAR(mps_to_mph(mph_to_mps(12.5)), 12.5, 1e-9);

@@ -271,6 +271,35 @@ TEST(ServeServer, IdleConnectionsAreSweptAndFragmentsDeadLettered) {
       1u);
 }
 
+TEST(ServeServer, IdleSweepSparesAPendingDrainCaller) {
+  ServeConfig config;
+  config.metrics = false;
+  config.idle_timeout_s = 0.3;
+  TestServer ts(std::move(config));
+
+  // An ingest client that keeps streaming for 1 s: the drain waits for
+  // its EOF, more than three idle timeouts for the silent drain caller.
+  Fd c = tcp_connect("127.0.0.1", ts.server.ingest_port());
+  ASSERT_TRUE(send_all(c.get(), "checkin,7,1000,1,Food,37.0,-122.0\n"));
+  std::thread feeder([&c] {
+    for (int i = 1; i < 10; ++i) {
+      std::this_thread::sleep_for(100ms);
+      const std::string t = std::to_string(1000 + 60 * i);
+      EXPECT_TRUE(send_all(c.get(),
+                           "checkin,7," + t + ",1,Food,37.0,-122.0\n"));
+    }
+    c.reset();
+  });
+  HttpResponse drained;
+  EXPECT_NO_THROW(
+      drained = http_post("127.0.0.1", ts.server.http_port(), "/admin/drain"));
+  feeder.join();
+  ts.loop.join();
+  EXPECT_EQ(drained.status, 200);
+  EXPECT_EQ(ts.stats.exit, ServeExit::kDrained);
+  EXPECT_EQ(ts.stats.records_applied, 10u);
+}
+
 TEST(ServeServer, StopFlagCheckpointsAndResumeSkipsReplayedRecords) {
   const fs::path dir = fresh_dir("serve_stop_resume");
   const std::string trace =

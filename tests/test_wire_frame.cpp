@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <string>
 #include <variant>
 #include <vector>
@@ -20,6 +23,25 @@
 #include "stream/event.h"
 #include "stream/quarantine.h"
 #include "stream/snapshot_io.h"
+
+/// Largest single operator-new request since the last reset: how the
+/// decoder's size-before-allocate check is observed.
+static std::atomic<std::size_t> g_largest_alloc{0};
+
+void* operator new(std::size_t n) {
+  std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+  while (n > seen && !g_largest_alloc.compare_exchange_weak(
+                         seen, n, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with a
+// new-expression.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -404,6 +426,49 @@ TEST(WireFrame, RejectsStructurallyInvalidPayloads) {
     ASSERT_TRUE(std::holds_alternative<FrameError>(*result));
     EXPECT_EQ(std::get<FrameError>(*result).kind,
               FrameErrorKind::kBadPayload);
+  }
+}
+
+TEST(WireFrame, PayloadTooShortForItsCountIsRejectedBeforeAllocating) {
+  // The smallest payload N records fit in is the kind bitmap plus one
+  // varint byte each for user and timestamp. A frame below it is rejected
+  // from its length alone; one at exactly that size passes the check and
+  // fails only in the column reader (zero bytes decode as N gps records
+  // whose coordinate columns are missing).
+  constexpr auto kCount = static_cast<std::uint32_t>(serve::kMaxFrameRecords);
+  constexpr std::size_t kMinPayload = (kCount + 7) / 8 + 2 * kCount;
+  constexpr std::size_t kEventsBytes = kCount * sizeof(stream::Event);
+  stats::Rng rng(29);
+  const std::vector<stream::Event> next_batch{random_event(rng),
+                                              random_event(rng)};
+  for (const std::size_t payload_len :
+       {std::size_t{0}, kMinPayload - 1, kMinPayload}) {
+    SCOPED_TRACE(payload_len);
+    BinaryFrameDecoder d;
+    d.feed(forged_frame(kCount, static_cast<std::uint32_t>(payload_len),
+                        std::string(payload_len, '\0')) +
+           encode_frame(next_batch));
+    g_largest_alloc.store(0);
+    const auto result = d.next();
+    const std::size_t largest = g_largest_alloc.load();
+    ASSERT_TRUE(result.has_value());
+    ASSERT_TRUE(std::holds_alternative<FrameError>(*result));
+    EXPECT_EQ(std::get<FrameError>(*result).kind,
+              FrameErrorKind::kBadPayload);
+    if (payload_len < kMinPayload) {
+      EXPECT_LT(largest, kEventsBytes);  // nothing sized for the claim
+    } else {
+      EXPECT_GE(largest, kEventsBytes);
+    }
+    // The rejected frame is skipped whole; the next one decodes.
+    const auto next = d.next();
+    ASSERT_TRUE(next.has_value());
+    ASSERT_TRUE(std::holds_alternative<BinaryFrameDecoder::Frame>(*next));
+    const auto& events = std::get<BinaryFrameDecoder::Frame>(*next).events;
+    ASSERT_EQ(events.size(), next_batch.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      expect_event_eq(events[i], next_batch[i]);
+    }
   }
 }
 
