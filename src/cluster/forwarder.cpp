@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
+
+#include "serve/wire.h"
 
 namespace geovalid::cluster {
 namespace {
@@ -120,6 +123,12 @@ bool Forwarder::ensure_binary_channel() noexcept {
 }
 
 void Forwarder::enqueue_frame(std::string_view frame, std::uint64_t records) {
+  // Pending keeps 32-bit counts; one frame carries at most
+  // kMaxFrameRecords records, so anything above that is a caller bug.
+  if (records > serve::kMaxFrameRecords) {
+    throw std::logic_error("enqueue_frame: " + std::to_string(records) +
+                           " records exceed one frame's limit");
+  }
   if (fault_injector_ != nullptr) {
     on_injected(fault_injector_->on_records(addr_.name, records));
   }
@@ -137,7 +146,8 @@ void Forwarder::enqueue_frame(std::string_view frame, std::uint64_t records) {
   forwarded += records;
   bbuf_.append(frame.data(), frame.size());
   const auto size = static_cast<std::uint32_t>(frame.size());
-  bpending_.push_back(Pending{size, size, records});
+  bpending_.push_back(
+      Pending{size, size, static_cast<std::uint32_t>(records)});
 }
 
 /// Non-blocking send of one channel's pending bytes, crediting the

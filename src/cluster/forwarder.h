@@ -117,8 +117,9 @@ class Forwarder {
   void enqueue(std::string_view line);
 
   /// Queues one complete binary frame (raw bytes, no delimiter) carrying
-  /// `records` records, opening the binary channel on first use. A frame
-  /// that cannot reach a socket spools; always succeeds.
+  /// `records` records (at most serve::kMaxFrameRecords; more throws
+  /// std::logic_error), opening the binary channel on first use. A frame
+  /// that cannot reach a socket spools; otherwise always succeeds.
   void enqueue_frame(std::string_view frame, std::uint64_t records);
 
   /// Sends as much of both buffers as the sockets accept right now. A

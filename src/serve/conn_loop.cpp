@@ -1,6 +1,8 @@
 #include "serve/conn_loop.h"
 
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -48,9 +50,20 @@ ConnLoop::ConnLoop(ConnHandler& handler, Limits limits, ConnCounts& counts,
     : handler_(handler),
       limits_(limits),
       counts_(counts),
-      stop_reading_(stop_reading) {}
+      stop_reading_(stop_reading),
+      wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (!wake_fd_.valid()) {
+    throw NetError(std::string("eventfd: ") + std::strerror(errno));
+  }
+}
 
 ConnLoop::~ConnLoop() = default;
+
+void ConnLoop::wake() {
+  // EAGAIN means the counter is saturated: a wake is pending anyway.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_.get(), &one, sizeof(one));
+}
 
 bool ConnLoop::at_cap() const {
   return counts_.open.load(std::memory_order_relaxed) >=
@@ -245,6 +258,7 @@ void ConnLoop::reap() {
   counts_.ingest.fetch_sub(gone[0], std::memory_order_relaxed);
   counts_.http.fetch_sub(gone[1], std::memory_order_relaxed);
   std::erase_if(conns_, [](const auto& c) { return c->dead; });
+  if (gone[0] > 0) handler_.on_ingest_reaped();
 }
 
 void ConnLoop::close_ingest() {
@@ -265,6 +279,7 @@ ConnLoop::Clock::time_point ConnLoop::step(int ingest_listener,
                                            const ExtraFn& on_extra) {
   pollfds_.clear();
   conn_of_pollfd_.clear();
+  pollfds_.push_back({wake_fd_.get(), POLLIN, 0});
   if (!at_cap()) {
     if (ingest_listener >= 0) pollfds_.push_back({ingest_listener, POLLIN, 0});
     if (http_listener >= 0) pollfds_.push_back({http_listener, POLLIN, 0});
@@ -282,7 +297,7 @@ ConnLoop::Clock::time_point ConnLoop::step(int ingest_listener,
     conn_of_pollfd_.push_back(i);
   }
 
-  const int ready = ::poll(pollfds_.empty() ? nullptr : pollfds_.data(),
+  const int ready = ::poll(pollfds_.data(),
                            static_cast<nfds_t>(pollfds_.size()),
                            kPollTimeoutMs);
   if (ready < 0 && errno != EINTR) {
@@ -290,7 +305,14 @@ ConnLoop::Clock::time_point ConnLoop::step(int ingest_listener,
   }
   const Clock::time_point polled = Clock::now();
 
-  for (std::size_t i = 0; i < extra_at; ++i) {
+  if (pollfds_[0].revents != 0) {
+    // One read returns and resets the whole counter: every wake() so far
+    // is consumed by this step.
+    std::uint64_t wakes = 0;
+    [[maybe_unused]] const ssize_t n =
+        ::read(wake_fd_.get(), &wakes, sizeof(wakes));
+  }
+  for (std::size_t i = 1; i < extra_at; ++i) {
     if (pollfds_[i].revents != 0) {
       accept_ready(pollfds_[i].fd, pollfds_[i].fd == http_listener);
     }

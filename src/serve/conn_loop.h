@@ -17,7 +17,9 @@
 //     slow reader never blocks the loop;
 //   - the idle sweep, which dead-letters the partial line or frame an idle
 //     ingest client left behind — exactly like a mid-record EOF — and
-//     never closes a caller waiting for its /admin/drain answer.
+//     never closes a caller waiting for its /admin/drain answer;
+//   - a wakeup eventfd, always in the poll set, so another thread can cut
+//     a blocked poll() short (wake()) instead of waiting out the tick.
 //
 // What a record or a request *means* stays with the daemon, behind the
 // ConnHandler interface: serve applies records to its engine, the router
@@ -52,8 +54,9 @@ namespace geovalid::serve {
 /// Per-connection read budget per loop iteration.
 inline constexpr std::size_t kReadBudgetBytes = 256 * 1024;
 
-/// Poll tick: the idle-sweep / timer / stop-flag / pause-gate granularity,
-/// the longest a serve reactor can lag behind a rendezvous.
+/// Poll tick: the idle-sweep and timer granularity only. Cross-thread
+/// hand-offs (the pause gate, the drain, shutdown) wake the loop through
+/// ConnLoop::wake() instead of waiting for the tick.
 inline constexpr int kPollTimeoutMs = 100;
 
 /// The daemon's decisions. Every callback runs on the loop's thread.
@@ -71,6 +74,9 @@ class ConnHandler {
   /// An HTTP answer was queued — replies, parse errors and deferred drain
   /// answers alike; the one place requests are counted.
   virtual void on_answered(std::string_view route, int status) = 0;
+  /// Ingest connections were reaped; ConnCounts::ingest already excludes
+  /// them.
+  virtual void on_ingest_reaped() {}
 };
 
 /// Connection counts shared by every loop of one daemon.
@@ -115,18 +121,23 @@ class ConnLoop {
   ConnLoop(const ConnLoop&) = delete;
   ConnLoop& operator=(const ConnLoop&) = delete;
 
-  /// One loop iteration's I/O. Polls the listeners that are valid (-1 =
-  /// not accepting; both drop out while the shared count is at the cap),
-  /// the caller's `extra` fds and every connection — ingest connections
-  /// only for their pending writes when `read_ingest` is false. Then, in
-  /// that order: accepts, hands extra revents to `on_extra`, flushes and
-  /// reads connections, sweeps idle ones and reaps the dead. Returns when
-  /// poll() returned, the start of the iteration's service time. Throws
-  /// NetError when poll() fails.
+  /// One loop iteration's I/O. Polls the wakeup fd, the listeners that are
+  /// valid (-1 = not accepting; both drop out while the shared count is at
+  /// the cap), the caller's `extra` fds and every connection — ingest
+  /// connections only for their pending writes when `read_ingest` is
+  /// false. Then, in that order: empties the wakeup fd, accepts, hands
+  /// extra revents to `on_extra`, flushes and reads connections, sweeps
+  /// idle ones and reaps the dead. Returns when poll() returned, the start
+  /// of the iteration's service time. Throws NetError when poll() fails.
   Clock::time_point step(int ingest_listener, int http_listener,
                          bool read_ingest = true,
                          std::span<const pollfd> extra = {},
                          const ExtraFn& on_extra = {});
+
+  /// Makes the current or next step() return from poll() at once. Safe
+  /// from any thread (and from a signal handler: one write(2)); wakes
+  /// coalesce until the step that consumes them.
+  void wake();
 
   /// Takes ownership of an already-connected non-blocking socket, counted
   /// like an accepted one (tests drive the core over socketpairs).
@@ -172,6 +183,7 @@ class ConnLoop {
   Limits limits_;
   ConnCounts& counts_;
   const std::atomic<bool>* stop_reading_;
+  Fd wake_fd_;  ///< eventfd; counts pending wake() calls
   std::vector<std::unique_ptr<Conn>> conns_;
   std::vector<pollfd> pollfds_;           ///< per-step scratch
   std::vector<std::size_t> conn_of_pollfd_;  ///< parallel to the conn tail

@@ -80,6 +80,7 @@ struct Server::Metrics {
   obs::Counter* accept_backpressure = nullptr;
   obs::Counter* wire_frames = nullptr;       ///< serve_wire_frames_total
   obs::Histogram* wire_batch_records = nullptr;
+  obs::Histogram* quiesce_wait_ns = nullptr;  ///< serve_quiesce_wait_ns
   /// serve_wire_malformed_frames_total{reason=...}, indexed by
   /// FrameErrorKind — the vocabulary is fixed and pre-registered.
   std::array<obs::Counter*, kFrameErrorKindCount> wire_malformed{};
@@ -138,6 +139,12 @@ struct Server::Reactor final : ConnHandler {
     if (server.metrics_) {
       server.metrics_->http_requests(std::string(route), status).inc();
     }
+  }
+  /// The leader's drain check reads the shared ingest count after its own
+  /// step; a reap elsewhere wakes it so the check runs now. Each ingest
+  /// connection is reaped once, after its decrement, so no wake is lost.
+  void on_ingest_reaped() override {
+    if (index != 0) server.reactors_[0]->loop.wake();
   }
 };
 
@@ -221,6 +228,10 @@ void Server::register_metrics() {
   m.wire_batch_records = &r.histogram(
       "serve_wire_batch_records",
       "Records per decoded binary frame (columnar batch size)");
+  m.quiesce_wait_ns = &r.histogram(
+      "serve_quiesce_wait_ns",
+      "Pause-gate rendezvous: time from raising the gate until every other "
+      "running reactor has parked (nanoseconds; only with 2+ reactors)");
   // Pre-register every frame rejection reason, mirroring the quarantine
   // counters: absence means "no binary ingest", not "no rejects".
   for (std::size_t i = 0; i < kFrameErrorKindCount; ++i) {
@@ -605,13 +616,17 @@ void Server::park_if_paused(Reactor& r) {
 
 bool Server::run_quiesced(Reactor& r0, const std::function<void()>& op) {
   if (reactors_.size() > 1) {
+    const Clock::time_point raised = Clock::now();
     pause_flag_.store(true, std::memory_order_release);
     std::unique_lock<std::mutex> lock(gate_mu_);
     pause_requested_ = true;
-    // Reactors notice the flag at their loop top, at worst one poll tick
-    // away; exiting reactors decrement running_others_ under gate_mu_, so
-    // the wait also unblocks when a reactor leaves instead of parking.
+    // Reactors park at their loop top; the wake cuts their poll() short,
+    // so the rendezvous costs one loop iteration, not a poll tick. Exiting
+    // reactors decrement running_others_ under gate_mu_, so the wait also
+    // unblocks when a reactor leaves instead of parking.
+    wake_others();
     gate_cv_.wait(lock, [&] { return parked_ >= running_others_; });
+    if (metrics_) metrics_->quiesce_wait_ns->observe(ns_since(raised));
   }
   r0.producer.flush();
   if (crash_pending_.load(std::memory_order_relaxed)) {
@@ -643,6 +658,12 @@ void Server::release_gate() {
   }
   pause_flag_.store(false, std::memory_order_release);
   gate_cv_.notify_all();
+}
+
+void Server::wake_others() {
+  for (std::size_t i = 1; i < reactors_.size(); ++i) {
+    reactors_[i]->loop.wake();
+  }
 }
 
 void Server::update_lag_gauge() {
@@ -772,6 +793,7 @@ void Server::reactor_loop(Reactor& r, const std::atomic<bool>* stop,
       });
       if (finalized) {
         drain_done_.store(true, std::memory_order_release);
+        wake_others();  // their exit check is at the loop top
         r.loop.answer_drain_waiters(
             200, "{\"status\":\"drained\",\"cursor\":" +
                      std::to_string(cursor_.load(std::memory_order_relaxed)) +
@@ -855,6 +877,7 @@ ServeStats Server::run(const std::atomic<bool>* stop) {
     crash_pending_.store(true, std::memory_order_relaxed);
   }
   stop_all_.store(true, std::memory_order_relaxed);
+  wake_others();
   for (std::thread& t : threads) t.join();
 
   // Teardown. Crash simulation abandons everything in flight (recovery

@@ -18,11 +18,14 @@
 //
 // Engine-wide quiescence (checkpoints, the query endpoints' drain(), the
 // final finish()) runs only on reactor 0, inside a pause-gate rendezvous:
-// reactor 0 raises the gate, every other reactor flushes its producer and
-// parks at its loop top, reactor 0 runs the operation against the now
-// single-producer engine, then releases the gate. With one reactor the
-// gate degenerates to a no-op and the daemon behaves exactly like the
-// original single-threaded loop.
+// reactor 0 raises the gate and wakes the others, every other reactor
+// flushes its producer and parks at its loop top, reactor 0 runs the
+// operation against the now single-producer engine, then releases the
+// gate. With one reactor the gate degenerates to a no-op and the daemon
+// behaves exactly like the original single-threaded loop. Every
+// cross-reactor hand-off (the gate, the drain's ingest-count check, drain
+// completion, exit) wakes the reactor it concerns through its ConnLoop's
+// eventfd, so none waits out the poll tick.
 //
 // The per-user ordering contract is preserved by construction: the wire
 // protocol already requires each user's records on one connection, one
@@ -206,15 +209,19 @@ class Server {
   /// Non-zero reactors call this at their loop top: when the pause gate is
   /// raised, flush the producer, report parked and wait for release.
   void park_if_paused(Reactor& r);
-  /// Reactor 0 only: raise the pause gate, wait until every live non-zero
-  /// reactor is parked, flush reactor 0's own producer, run `op` against
-  /// the quiesced (single-producer) engine, release the gate. A no-op
-  /// rendezvous with one reactor. Returns false without running `op` when
-  /// the crash hook fired during the rendezvous — a crashing reactor
-  /// drops its staged events, so the engine view is no longer consistent
-  /// with the coverage table and must not be persisted or served.
+  /// Reactor 0 only: raise the pause gate, wake the other reactors, wait
+  /// until every live non-zero reactor is parked, flush reactor 0's own
+  /// producer, run `op` against the quiesced (single-producer) engine,
+  /// release the gate. A no-op rendezvous with one reactor. Returns false
+  /// without running `op` when the crash hook fired during the rendezvous
+  /// — a crashing reactor drops its staged events, so the engine view is
+  /// no longer consistent with the coverage table and must not be
+  /// persisted or served.
   bool run_quiesced(Reactor& r0, const std::function<void()>& op);
   void release_gate();
+  /// Cuts the poll() of every non-zero reactor short, so it reaches its
+  /// loop top (the gate, the exit checks) now instead of at the next tick.
+  void wake_others();
   [[nodiscard]] std::uint64_t arrive(trace::UserId user);
   void update_lag_gauge();
   [[nodiscard]] std::string summary_json();

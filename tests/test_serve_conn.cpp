@@ -3,13 +3,15 @@
 // stand in for accepted sockets. Covers the first-byte wire sniff, a line
 // split across reads, the single dead letter an EOF or the idle sweep
 // leaves for a partial record (text and binary), the HTTP parse-error
-// reply, the drain waiter the idle sweep must spare, and the read budget
-// that makes a firehose connection yield.
+// reply, the drain waiter the idle sweep must spare, the read budget
+// that makes a firehose connection yield, and the wakeup fd that cuts a
+// blocked poll() short.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
 #include <cerrno>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -31,6 +33,7 @@ struct FakeHandler final : ConnHandler {
   std::vector<std::size_t> frames;                  ///< records per frame
   std::vector<FrameError> frame_errors;
   std::vector<std::pair<std::string, int>> answered;
+  std::size_t ingest_reaps = 0;
   HttpReply reply;  ///< what every request is answered with
 
   void on_line(std::string_view text, bool truncated) override {
@@ -48,6 +51,7 @@ struct FakeHandler final : ConnHandler {
   void on_answered(std::string_view route, int status) override {
     answered.emplace_back(route, status);
   }
+  void on_ingest_reaped() override { ++ingest_reaps; }
 };
 
 /// One core with no listeners; connections arrive through adopt().
@@ -252,6 +256,51 @@ TEST(ServeConn, FirehoseConnectionYieldsAfterItsReadBudget) {
     h.step();
   }
   EXPECT_EQ(h.handler.lines.size(), queued / line.size() + 1);
+}
+
+TEST(ServeConn, WakeCutsABlockedPollShort) {
+  using Clock = std::chrono::steady_clock;
+  Harness h;  // nothing to poll but the wakeup fd: step() sleeps a tick
+  Clock::time_point returned;
+  std::thread stepper([&] {
+    h.step();
+    returned = Clock::now();
+  });
+  std::this_thread::sleep_for(20ms);  // let it block in poll()
+  const Clock::time_point woken = Clock::now();
+  h.loop.wake();
+  stepper.join();
+  EXPECT_LT(returned - woken, std::chrono::milliseconds(kPollTimeoutMs / 2));
+}
+
+TEST(ServeConn, WakeBeforeStepIsConsumedByTheNextStep) {
+  using Clock = std::chrono::steady_clock;
+  const auto half_tick = std::chrono::milliseconds(kPollTimeoutMs / 2);
+  Harness h;
+  h.loop.wake();
+  h.loop.wake();  // wakes coalesce into one
+  Clock::time_point start = Clock::now();
+  h.step();
+  EXPECT_LT(Clock::now() - start, half_tick);
+  // The step read the eventfd empty: the next one sleeps out its tick.
+  start = Clock::now();
+  h.step();
+  EXPECT_GE(Clock::now() - start, half_tick);
+}
+
+TEST(ServeConn, ReapingIngestNotifiesTheHandler) {
+  Harness h;
+  std::optional<Fd> ingest = h.connect(false);
+  std::optional<Fd> http = h.connect(true);
+  http.reset();
+  h.step();  // the HTTP connection's EOF is no ingest reap
+  EXPECT_EQ(h.loop.size(), 1u);
+  EXPECT_EQ(h.handler.ingest_reaps, 0u);
+  ingest.reset();
+  h.step();
+  EXPECT_EQ(h.loop.size(), 0u);
+  EXPECT_EQ(h.handler.ingest_reaps, 1u);
+  EXPECT_EQ(h.counts.ingest.load(), 0u);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Reactor-count invariance for the serve daemon's edge behavior: the
 // hostile-client bounds (malformed/oversized lines, idle sweep, the global
 // --max-connections cap) must hold identically at 1, 2, and 4 reactors,
-// and the per-reactor observability families must be exported for every
-// reactor. The byte-identical-verdict property lives in
-// test_serve_equivalence.cpp (also parameterized on reactors).
+// cross-reactor hand-offs (the pause gate, the drain, shutdown) must wake
+// the other reactors instead of waiting out their poll tick, and the
+// per-reactor observability families must be exported for every reactor.
+// The byte-identical-verdict property lives in test_serve_equivalence.cpp
+// (also parameterized on reactors).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -161,6 +163,75 @@ TEST_P(ServeReactors, MaxConnectionsCapIsGlobalAcrossReactors) {
   EXPECT_EQ(ts.stats.records_applied, 2u);
   EXPECT_EQ(ts.stats.records_malformed, 0u);
   EXPECT_GE(ts.stats.connections, 3u);  // holder + queued + the drain POST
+}
+
+TEST_P(ServeReactors, IdleQuiescedQueriesDoNotWaitOutThePollTick) {
+  ServeConfig config;
+  config.metrics = false;
+  config.reactors = GetParam();
+  TestServer ts(std::move(config));
+
+  // Every /v1/summary runs inside the pause-gate rendezvous. A reactor
+  // that only noticed the gate at its next poll tick would add a wait
+  // spread over 0..kPollTimeoutMs to each call; woken, it parks at once.
+  // The calls are spaced unevenly so they land at different phases of the
+  // tick.
+  for (int i = 0; i < 20; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5 + 11 * (i % 7)));
+    const auto start = std::chrono::steady_clock::now();
+    const HttpResponse r =
+        http_get("127.0.0.1", ts.server.http_port(), "/v1/summary");
+    const auto took = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(r.status, 200);
+    EXPECT_LT(took, 50ms) << "call " << i;
+  }
+  EXPECT_EQ(ts.drain_and_join().status, 200);
+}
+
+TEST_P(ServeReactors, DrainAnswersAndExitsRightAfterTheLastIngestEof) {
+  using Clock = std::chrono::steady_clock;
+  ServeConfig config;
+  config.metrics = false;
+  config.reactors = GetParam();
+  TestServer ts(std::move(config));
+
+  // More ingest connections than reactors, so at 2+ reactors some are
+  // reaped off reactor 0 and must wake it for the drain check.
+  constexpr std::size_t kClients = 6;
+  std::vector<Fd> conns;
+  conns.reserve(kClients);
+  for (std::size_t i = 0; i < kClients; ++i) {
+    conns.push_back(tcp_connect("127.0.0.1", ts.server.ingest_port()));
+    const std::string user = std::to_string(300 + i);
+    ASSERT_TRUE(send_all(conns.back().get(),
+                         "checkin," + user + ",1000,1,Food,37.0,-122.0\n"));
+  }
+
+  // The drain is deferred until every ingest stream has hit EOF.
+  HttpResponse drained;
+  Clock::time_point answered;
+  std::thread caller([&] {
+    drained = http_post("127.0.0.1", ts.server.http_port(), "/admin/drain");
+    answered = Clock::now();
+  });
+  // /readyz turns 503 once the drain request is in.
+  const auto deadline = Clock::now() + 5s;
+  while (http_get("127.0.0.1", ts.server.http_port(), "/readyz").status !=
+             503 &&
+         Clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+
+  const Clock::time_point last_eof = Clock::now();
+  conns.clear();
+  ts.loop.join();
+  const Clock::time_point returned = Clock::now();
+  caller.join();
+  EXPECT_EQ(drained.status, 200);
+  EXPECT_EQ(ts.stats.exit, ServeExit::kDrained);
+  EXPECT_EQ(ts.stats.records_applied, kClients);
+  EXPECT_LT(answered - last_eof, 50ms);
+  EXPECT_LT(returned - last_eof, 50ms);
 }
 
 INSTANTIATE_TEST_SUITE_P(Reactors, ServeReactors,
