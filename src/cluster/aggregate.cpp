@@ -148,12 +148,12 @@ std::string render(const FamilyMap& families, std::string_view prefix,
 }
 
 /// Minimal recursive-descent scan of a JSON object tree, collecting
-/// numeric leaves. Only the grammar serve emits is accepted.
+/// string and number leaves. Only the grammar serve emits is accepted.
 class JsonScanner {
  public:
   explicit JsonScanner(std::string_view text) : text_(text) {}
 
-  std::vector<std::pair<std::string, double>> run() {
+  std::vector<JsonLeaf> run() {
     skip_ws();
     object("");
     skip_ws();
@@ -228,7 +228,7 @@ class JsonScanner {
     if (c == '{') {
       object(path);
     } else if (c == '"') {
-      (void)string_token();
+      out_.push_back({path, string_token(), std::nullopt});
     } else if (c == '[') {
       fail("arrays are not supported");
     } else if (c == 't' || c == 'f' || c == 'n') {
@@ -238,17 +238,18 @@ class JsonScanner {
       }
     } else {
       const char* begin = text_.data() + pos_;
-      char* end = nullptr;
-      const double v = std::strtod(begin, &end);
-      if (end == begin) fail("expected a value");
+      double v = 0.0;
+      const auto [end, ec] =
+          std::from_chars(begin, text_.data() + text_.size(), v);
+      if (ec != std::errc{}) fail("expected a value");
       pos_ += static_cast<std::size_t>(end - begin);
-      out_.emplace_back(path, v);
+      out_.push_back({path, std::string(begin, end), v});
     }
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
-  std::vector<std::pair<std::string, double>> out_;
+  std::vector<JsonLeaf> out_;
 };
 
 }  // namespace
@@ -273,9 +274,17 @@ std::string strip_prometheus(std::string_view text,
   return render(families, family_prefix, /*keep_matching=*/false);
 }
 
+std::vector<JsonLeaf> flatten_json(std::string_view json) {
+  return JsonScanner(json).run();
+}
+
 std::vector<std::pair<std::string, double>> flatten_json_numbers(
     std::string_view json) {
-  return JsonScanner(json).run();
+  std::vector<std::pair<std::string, double>> out;
+  for (JsonLeaf& leaf : flatten_json(json)) {
+    if (leaf.number) out.emplace_back(std::move(leaf.path), *leaf.number);
+  }
+  return out;
 }
 
 std::string merge_summaries(const std::vector<std::string>& bodies) {

@@ -24,6 +24,7 @@
 // a deliberate contract with our own backends, not a general scraper.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -48,9 +49,21 @@ namespace geovalid::cluster {
 [[nodiscard]] std::string strip_prometheus(std::string_view text,
                                            std::string_view family_prefix);
 
-/// Numeric leaves of a JSON object as (dotted path, value) in document
-/// order. Strings, bools and nulls are skipped; arrays are rejected with
-/// std::invalid_argument, as is any malformed body.
+/// One string or number leaf of a JSON object tree.
+struct JsonLeaf {
+  std::string path;  ///< dotted, e.g. "prevalence.users"
+  /// A number's token verbatim (so re-emitted bytes never round-trip
+  /// through a double); a string's unescaped contents.
+  std::string text;
+  std::optional<double> number;  ///< empty for a string leaf
+};
+
+/// String and number leaves of a JSON object in document order. Bools
+/// and nulls are skipped; arrays are rejected with std::invalid_argument,
+/// as is any malformed body.
+[[nodiscard]] std::vector<JsonLeaf> flatten_json(std::string_view json);
+
+/// The numeric leaves of flatten_json as (dotted path, value).
 [[nodiscard]] std::vector<std::pair<std::string, double>>
 flatten_json_numbers(std::string_view json);
 

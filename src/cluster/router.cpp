@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -55,26 +56,6 @@ std::optional<trace::UserId> route_key(std::string_view line) {
   return id;
 }
 
-std::optional<std::string> json_string_field(std::string_view json,
-                                             std::string_view key) {
-  const std::string pattern = "\"" + std::string(key) + "\"";
-  std::size_t p = json.find(pattern);
-  if (p == std::string_view::npos) return std::nullopt;
-  p = json.find(':', p + pattern.size());
-  if (p == std::string_view::npos) return std::nullopt;
-  ++p;
-  while (p < json.size() && (json[p] == ' ' || json[p] == '\t')) ++p;
-  if (p >= json.size() || json[p] != '"') return std::nullopt;
-  ++p;
-  std::string out;
-  while (p < json.size() && json[p] != '"') {
-    if (json[p] == '\\' && p + 1 < json.size()) ++p;
-    out += json[p++];
-  }
-  if (p >= json.size()) return std::nullopt;
-  return out;
-}
-
 void append_json_string_array(std::string& out,
                               const std::vector<std::string>& items) {
   out += '[';
@@ -87,18 +68,21 @@ void append_json_string_array(std::string& out,
   out += ']';
 }
 
-/// The bare number token after `"key":` in one flat JSON object — returned
-/// verbatim, so the merged suspects body re-emits each backend's score
-/// bytes untouched (byte-determinism without float round-tripping).
-std::string_view json_number_token(std::string_view obj,
-                                   std::string_view key) {
-  const std::string pattern = "\"" + std::string(key) + "\":";
-  std::size_t p = obj.find(pattern);
-  if (p == std::string_view::npos) return {};
-  p += pattern.size();
-  std::size_t e = p;
-  while (e < obj.size() && obj[e] != ',' && obj[e] != '}') ++e;
-  return obj.substr(p, e - p);
+/// A control-plane error answer: `code` with {"error":"<message>"}.
+void set_error(int& status, std::string& body, int code,
+               std::string_view message) {
+  status = code;
+  body = "{\"error\":\"" + std::string(message) + "\"}";
+}
+
+/// A failed fan-out: 502 naming the failed backends.
+void set_fan_out_error(int& status, std::string& body, std::string_view what,
+                       const std::vector<std::string>& failed) {
+  status = 502;
+  body = "{\"error\":\"" + std::string(what) +
+         " fan-out failed\",\"failed\":";
+  append_json_string_array(body, failed);
+  body += '}';
 }
 
 /// One row of a backend's /v1/suspects answer, kept textual.
@@ -123,23 +107,26 @@ void extract_suspects(std::string_view body,
     if (open == std::string_view::npos) return;
     const std::size_t close = body.find('}', open);
     if (close == std::string_view::npos) return;
-    const std::string_view obj = body.substr(open, close - open + 1);
-    SuspectToken token;
-    const std::string_view user = json_number_token(obj, "user");
-    const std::string_view score = json_number_token(obj, "score");
-    const std::string_view checkins = json_number_token(obj, "checkins");
-    const auto [uptr, uec] =
-        std::from_chars(user.data(), user.data() + user.size(), token.user);
-    const auto [sptr, sec] = std::from_chars(
-        score.data(), score.data() + score.size(), token.score_value);
-    if (!user.empty() && uec == std::errc{} &&
-        uptr == user.data() + user.size() && !score.empty() &&
-        sec == std::errc{} && !checkins.empty()) {
-      token.score_text.assign(score);
-      token.checkins_text.assign(checkins);
-      out.push_back(std::move(token));
-    }
     p = close + 1;
+    std::vector<JsonLeaf> row;
+    try {
+      row = flatten_json(body.substr(open, close - open + 1));
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    const auto number = [&row](std::string_view key) -> const JsonLeaf* {
+      for (const JsonLeaf& leaf : row) {
+        if (leaf.path == key && leaf.number) return &leaf;
+      }
+      return nullptr;
+    };
+    const JsonLeaf* user = number("user");
+    const JsonLeaf* score = number("score");
+    const JsonLeaf* checkins = number("checkins");
+    if (user == nullptr || score == nullptr || checkins == nullptr) continue;
+    const auto id = serve::parse_decimal<trace::UserId>(user->text);
+    if (!id) continue;
+    out.push_back({*id, *score->number, score->text, checkins->text});
   }
 }
 
@@ -309,26 +296,20 @@ void Router::start() {
                      std::to_string(f->addr().ingest_port));
     }
   }
-  // Learn each backend's instance id synchronously (one deadline-bounded
-  // probe per backend) so a ready backend is up before the first ingest
-  // byte, and the very first asynchronous probe can already distinguish a
-  // restart from a blip.
+  // Learn each backend's instance id synchronously (one probe-deadline
+  // fan-out) so a ready backend is up before the first ingest byte, and
+  // the very first asynchronous probe can already distinguish a restart
+  // from a blip. A backend not ready yet stays recovering; the probe loop
+  // promotes it.
+  const Answers probes = fan_out("GET", "/readyz", all_backends(),
+                                 to_ms(config_.probe_timeout_s));
   const Clock::time_point now = Clock::now();
-  const int timeout_ms = to_ms(config_.probe_timeout_s);
   for (std::size_t i = 0; i < forwarders_.size(); ++i) {
-    Forwarder& f = *forwarders_[i];
-    BackendHealth& h = health_[i];
-    try {
-      const serve::HttpResponse resp = serve::http_get_deadline(
-          f.addr().host, f.addr().http_port, "/readyz", timeout_ms);
-      if (resp.status == 200) {
-        f.set_state(BackendState::kUp);
-        h.instance = resp.header("Geovalid-Instance");
-      }
-    } catch (const NetError&) {
-      // Not ready yet: stays recovering; the probe loop promotes it.
+    if (probes[i] && probes[i]->status == 200) {
+      forwarders_[i]->set_state(BackendState::kUp);
+      health_[i].instance = probes[i]->header("Geovalid-Instance");
     }
-    h.next_probe_at =
+    health_[i].next_probe_at =
         now + std::chrono::milliseconds(to_ms(config_.probe_interval_s));
   }
   ingest_listener_ = serve::tcp_listen(config_.host, config_.ingest_port);
@@ -422,7 +403,13 @@ void Router::handle_readyz(int& status, std::string& content_type,
                            std::string& body) {
   // Per-backend verdict: the probe-driven state machine first (a backend
   // the router cannot forward to is not ready, whatever its own /readyz
-  // says), then a live deadline-bounded probe for up backends.
+  // says), then a live probe-deadline fan-out to the up backends.
+  std::vector<std::size_t> up;
+  for (std::size_t i = 0; i < forwarders_.size(); ++i) {
+    if (forwarders_[i]->state() == BackendState::kUp) up.push_back(i);
+  }
+  const Answers live =
+      fan_out("GET", "/readyz", up, to_ms(config_.probe_timeout_s));
   std::string not_ready;
   std::size_t count = 0;
   for (std::size_t i = 0; i < forwarders_.size(); ++i) {
@@ -430,18 +417,10 @@ void Router::handle_readyz(int& status, std::string& content_type,
     std::string why;
     if (f.state() != BackendState::kUp) {
       why = to_string(f.state());
-    } else {
-      try {
-        if (serve::http_get_deadline(f.addr().host, f.addr().http_port,
-                                     "/readyz",
-                                     to_ms(config_.probe_timeout_s))
-                .status != 200) {
-          why = "not_ready";
-        }
-      } catch (const NetError&) {
-        why = "unreachable";
-        if (metrics_) metrics_->backend_errors[i]->inc();
-      }
+    } else if (!live[i]) {
+      why = "unreachable";
+    } else if (live[i]->status != 200) {
+      why = "not_ready";
     }
     if (why.empty()) continue;
     if (count++ > 0) not_ready += ',';
@@ -462,21 +441,16 @@ void Router::handle_metrics(int& status, std::string& content_type,
                             std::string& body) {
   update_backend_gauges();
   std::vector<std::string> texts;
-  for (std::size_t i = 0; i < forwarders_.size(); ++i) {
-    const BackendAddr& addr = forwarders_[i]->addr();
-    try {
-      serve::HttpResponse resp = serve::http_get_deadline(
-          addr.host, addr.http_port, "/metrics", fanout_deadline_ms());
-      if (resp.status == 200) {
-        texts.push_back(strip_prometheus(resp.body, "cluster_"));
-      } else if (metrics_) {
-        metrics_->backend_errors[i]->inc();
-      }
-    } catch (const NetError&) {
-      // Degraded scrape: the missing backend is visible through the
-      // router's own cluster_backend_state gauge, so a partial merge is
-      // still truthful.
-      if (metrics_) metrics_->backend_errors[i]->inc();
+  const Answers scrapes =
+      fan_out("GET", "/metrics", all_backends(), fanout_deadline_ms());
+  for (std::size_t i = 0; i < scrapes.size(); ++i) {
+    // Degraded scrape: a missing backend is visible through the router's
+    // own cluster_backend_state gauge, so a partial merge is still
+    // truthful. A non-200 answer counts as a backend error too.
+    if (scrapes[i] && scrapes[i]->status == 200) {
+      texts.push_back(strip_prometheus(scrapes[i]->body, "cluster_"));
+    } else if (scrapes[i] && metrics_) {
+      metrics_->backend_errors[i]->inc();
     }
   }
   // Only the router's own cluster_* families join the merge: in-process
@@ -492,28 +466,18 @@ void Router::handle_metrics(int& status, std::string& content_type,
 void Router::handle_summary(int& status, std::string& body) {
   std::vector<std::string> bodies;
   std::vector<std::string> failed;
-  for (std::size_t i = 0; i < forwarders_.size(); ++i) {
-    const BackendAddr& addr = forwarders_[i]->addr();
-    try {
-      serve::HttpResponse resp = serve::http_get_deadline(
-          addr.host, addr.http_port, "/v1/summary", fanout_deadline_ms());
-      if (resp.status == 200) {
-        bodies.push_back(std::move(resp.body));
-      } else {
-        failed.push_back(addr.name);
-      }
-    } catch (const NetError&) {
-      failed.push_back(addr.name);
-      if (metrics_) metrics_->backend_errors[i]->inc();
+  Answers calls =
+      fan_out("GET", "/v1/summary", all_backends(), fanout_deadline_ms());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    if (calls[i] && calls[i]->status == 200) {
+      bodies.push_back(std::move(calls[i]->body));
+    } else {
+      failed.push_back(forwarders_[i]->addr().name);
     }
   }
   if (bodies.empty()) {
     // Nothing to merge: the whole cluster is unreachable, error out.
-    status = 502;
-    body = "{\"error\":\"summary fan-out failed\",\"failed\":";
-    append_json_string_array(body, failed);
-    body += "}";
-    return;
+    return set_fan_out_error(status, body, "summary", failed);
   }
   status = 200;
   body = merge_summaries(bodies);
@@ -530,40 +494,29 @@ void Router::handle_summary(int& status, std::string& body) {
 void Router::handle_proxy(std::string_view id_text, std::string_view what,
                           int& status, std::string& body) {
   const auto id = serve::parse_decimal<trace::UserId>(id_text);
-  if (!id) {
-    status = 400;
-    body = "{\"error\":\"bad user id\"}";
-    return;
-  }
+  if (!id) return set_error(status, body, 400, "bad user id");
   // The ring owner holds every record of this user, so its answer — the
   // verdicts or the score, 404 for an unknown user, 409 without a model —
   // is the cluster's.
   const std::size_t owner = ring_.owner_index(*id);
-  const BackendAddr& addr = forwarders_[owner]->addr();
-  try {
-    serve::HttpResponse resp = serve::http_get_deadline(
-        addr.host, addr.http_port,
-        "/v1/users/" + std::to_string(*id) + std::string(what),
-        fanout_deadline_ms());
-    status = resp.status;
-    body = std::move(resp.body);
-  } catch (const NetError&) {
-    if (metrics_) metrics_->backend_errors[owner]->inc();
+  std::optional<serve::HttpResponse> resp = std::move(
+      fan_out("GET", "/v1/users/" + std::to_string(*id) + std::string(what),
+              {owner}, fanout_deadline_ms())[owner]);
+  if (!resp) {
     status = 502;
-    body = "{\"error\":\"backend unreachable\",\"backend\":\"" + addr.name +
-           "\"}";
+    body = "{\"error\":\"backend unreachable\",\"backend\":\"" +
+           forwarders_[owner]->addr().name + "\"}";
+    return;
   }
+  status = resp->status;
+  body = std::move(resp->body);
 }
 
 void Router::handle_suspects(std::string_view k_text, int& status,
                              std::string& body) {
   const std::optional<std::size_t> parsed =
       serve::parse_decimal<std::size_t>(k_text);
-  if (!parsed) {
-    status = 400;
-    body = "{\"error\":\"bad k\"}";
-    return;
-  }
+  if (!parsed) return set_error(status, body, 400, "bad k");
   const std::size_t k = *parsed;
   // Every backend's top-k is a superset of its contribution to the
   // cluster top-k (users never span backends), so fan out the same k and
@@ -573,35 +526,23 @@ void Router::handle_suspects(std::string_view k_text, int& status,
   std::vector<std::string> failed;
   std::size_t answered = 0;
   bool saw_no_model = false;
-  for (std::size_t i = 0; i < forwarders_.size(); ++i) {
-    const BackendAddr& addr = forwarders_[i]->addr();
-    try {
-      serve::HttpResponse resp = serve::http_get_deadline(
-          addr.host, addr.http_port, path, fanout_deadline_ms());
-      if (resp.status == 200) {
-        ++answered;
-        extract_suspects(resp.body, merged);
-      } else {
-        if (resp.status == 409) saw_no_model = true;
-        failed.push_back(addr.name);
-      }
-    } catch (const NetError&) {
-      failed.push_back(addr.name);
-      if (metrics_) metrics_->backend_errors[i]->inc();
+  const Answers calls =
+      fan_out("GET", path, all_backends(), fanout_deadline_ms());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    if (calls[i] && calls[i]->status == 200) {
+      ++answered;
+      extract_suspects(calls[i]->body, merged);
+    } else {
+      if (calls[i] && calls[i]->status == 409) saw_no_model = true;
+      failed.push_back(forwarders_[i]->addr().name);
     }
   }
   if (answered == 0) {
     if (saw_no_model) {
       // Uniform config case: the cluster serves without a model.
-      status = 409;
-      body = "{\"error\":\"serving without a model\"}";
-      return;
+      return set_error(status, body, 409, "serving without a model");
     }
-    status = 502;
-    body = "{\"error\":\"suspects fan-out failed\",\"failed\":";
-    append_json_string_array(body, failed);
-    body += "}";
-    return;
+    return set_fan_out_error(status, body, "suspects", failed);
   }
   std::sort(merged.begin(), merged.end(),
             [](const SuspectToken& a, const SuspectToken& b) {
@@ -631,38 +572,20 @@ void Router::handle_checkpoint(int& status, std::string& body) {
   // Buffered records must reach the backends first, or the fanned-out
   // checkpoints would not cover everything the router has accepted.
   flush_all_blocking(fanout_deadline_ms());
-  std::vector<std::string> failed;
-  std::string ok_entries;
+  // A backend that is down, flush-expired or still holding spooled
+  // records could not cover its shard: it is not called, and fails.
+  std::vector<std::size_t> covered;
   for (std::size_t i = 0; i < forwarders_.size(); ++i) {
     const Forwarder& f = *forwarders_[i];
-    if (!f.sending() || f.spool_records() > 0) {
-      // Down, flush-expired, or records still spooled: its checkpoint
-      // could not cover the shard.
-      failed.push_back(f.addr().name);
-      continue;
-    }
-    try {
-      serve::HttpResponse resp = serve::http_post_deadline(
-          f.addr().host, f.addr().http_port, "/admin/checkpoint",
-          fanout_deadline_ms());
-      if (resp.status == 200) {
-        if (!ok_entries.empty()) ok_entries += ',';
-        ok_entries += "{\"name\":\"" + f.addr().name +
-                      "\",\"response\":" + resp.body + "}";
-      } else {
-        failed.push_back(f.addr().name);
-      }
-    } catch (const NetError&) {
-      failed.push_back(f.addr().name);
-      if (metrics_) metrics_->backend_errors[i]->inc();
-    }
+    if (f.sending() && f.spool_records() == 0) covered.push_back(i);
   }
+  std::vector<std::string> failed;
+  std::string ok_entries;
+  collect_writes(
+      fan_out("POST", "/admin/checkpoint", covered, fanout_deadline_ms()),
+      failed, ok_entries);
   if (!failed.empty()) {
-    status = 502;
-    body = "{\"error\":\"checkpoint fan-out failed\",\"failed\":";
-    append_json_string_array(body, failed);
-    body += "}";
-    return;
+    return set_fan_out_error(status, body, "checkpoint", failed);
   }
   status = 200;
   body = "{\"status\":\"ok\",\"backends\":[" + ok_entries + "]}";
@@ -679,41 +602,39 @@ void Router::handle_replace(const std::string& name,
     }
   }
   if (index == forwarders_.size()) {
-    status = 404;
-    body = "{\"error\":\"unknown backend\"}";
-    return;
+    return set_error(status, body, 404, "unknown backend");
   }
 
-  double ingest = 0.0;
-  double http = 0.0;
-  try {
-    for (const auto& [path, value] : flatten_json_numbers(json)) {
-      if (path == "ingest_port") ingest = value;
-      if (path == "http_port") http = value;
-    }
-  } catch (const std::invalid_argument&) {
-    status = 400;
-    body = "{\"error\":\"malformed body\"}";
-    return;
-  }
-  if (ingest < 1.0 || ingest > 65535.0 || http < 1.0 || http > 65535.0) {
-    status = 400;
-    body =
-        "{\"error\":\"body must carry ingest_port and http_port "
-        "(1-65535)\"}";
-    return;
-  }
+  // Ports are whole decimals read from their verbatim tokens, so 8080.9
+  // or 1e3 is refused rather than truncated; "host" must be a top-level
+  // string.
   BackendAddr addr;
   addr.name = name;
-  addr.host = json_string_field(json, "host")
-                  .value_or(forwarders_[index]->addr().host);
-  addr.ingest_port = static_cast<std::uint16_t>(ingest);
-  addr.http_port = static_cast<std::uint16_t>(http);
+  addr.host = forwarders_[index]->addr().host;
+  std::optional<std::uint16_t> ingest;
+  std::optional<std::uint16_t> http;
+  try {
+    for (const JsonLeaf& leaf : flatten_json(json)) {
+      if (leaf.path == "host" && !leaf.number) addr.host = leaf.text;
+      if (leaf.path == "ingest_port" && leaf.number) {
+        ingest = serve::parse_decimal<std::uint16_t>(leaf.text);
+      }
+      if (leaf.path == "http_port" && leaf.number) {
+        http = serve::parse_decimal<std::uint16_t>(leaf.text);
+      }
+    }
+  } catch (const std::invalid_argument&) {
+    return set_error(status, body, 400, "malformed body");
+  }
+  if (ingest.value_or(0) == 0 || http.value_or(0) == 0) {
+    return set_error(status, body, 400,
+                     "body must carry ingest_port and http_port (1-65535)");
+  }
+  addr.ingest_port = *ingest;
+  addr.http_port = *http;
 
   if (!forwarders_[index]->replace(addr)) {
-    status = 502;
-    body = "{\"error\":\"replacement unreachable\"}";
-    return;
+    return set_error(status, body, 502, "replacement unreachable");
   }
 
   const std::uint64_t reset_users = begin_new_epoch(index);
@@ -725,8 +646,7 @@ void Router::handle_replace(const std::string& name,
   h.instance.clear();
   h.consecutive_failures = 0;
   h.reconnect_attempts = 0;
-  h.phase = BackendHealth::ProbePhase::kIdle;
-  h.probe_fd.reset();
+  h.probe.reset();
   h.next_probe_at = Clock::now();
 
   status = 200;
@@ -765,22 +685,66 @@ int Router::fanout_deadline_ms() const {
   return to_ms(config_.fanout_deadline_s);
 }
 
+Router::Answers Router::fan_out(const char* method, const std::string& path,
+                                const std::vector<std::size_t>& backends,
+                                int timeout_ms) {
+  std::vector<serve::HttpExchange> calls;
+  calls.reserve(backends.size());
+  for (const std::size_t i : backends) {
+    const BackendAddr& addr = forwarders_[i]->addr();
+    calls.emplace_back(addr.host, addr.http_port, method, path);
+  }
+  serve::run_http_exchanges(calls, timeout_ms);
+  Answers answers(forwarders_.size());
+  for (std::size_t k = 0; k < calls.size(); ++k) {
+    answers[backends[k]] = std::move(calls[k].response());
+    if (!answers[backends[k]] && metrics_) {
+      metrics_->backend_errors[backends[k]]->inc();
+    }
+  }
+  return answers;
+}
+
+void Router::collect_writes(const Answers& answers,
+                            std::vector<std::string>& failed,
+                            std::string& ok_entries) const {
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    const std::string& name = forwarders_[i]->addr().name;
+    if (!answers[i] || answers[i]->status != 200) {
+      if (std::find(failed.begin(), failed.end(), name) == failed.end()) {
+        failed.push_back(name);
+      }
+      continue;
+    }
+    if (!ok_entries.empty()) ok_entries += ',';
+    ok_entries += "{\"name\":\"" + name + "\",\"response\":" +
+                  answers[i]->body + "}";
+  }
+}
+
+std::vector<std::size_t> Router::all_backends() const {
+  std::vector<std::size_t> all(forwarders_.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return all;
+}
+
 void Router::check_health_timers(Clock::time_point now) {
   for (std::size_t i = 0; i < forwarders_.size(); ++i) {
     BackendHealth& h = health_[i];
     Forwarder& f = *forwarders_[i];
-    if (h.phase != BackendHealth::ProbePhase::kIdle &&
-        now >= h.probe_deadline) {
-      finish_probe(i, /*ok=*/false, {});
+    if (h.probe && now >= h.probe_deadline) {
+      h.probe->expire();
+      finish_probe(i);
     }
-    if (h.phase == BackendHealth::ProbePhase::kIdle &&
-        now >= h.next_probe_at) {
-      start_probe(i, now);
-    }
+    if (!h.probe && now >= h.next_probe_at) start_probe(i, now);
     if (!f.connected() && !drain_requested_ && now >= h.next_reconnect_at) {
       if (f.connect()) {
         // Probe immediately: the instance comparison decides whether the
         // spool drains (same process) or a new epoch starts (restart).
+        // Only a probe issued after this connect may decide it: one still
+        // in flight can carry the dead process's instance, and would
+        // drain the spool into the restarted one.
+        h.probe.reset();
         h.next_probe_at = now;
       } else {
         const std::uint32_t delay = stream::backoff_with_jitter(
@@ -801,98 +765,26 @@ void Router::start_probe(std::size_t index, Clock::time_point now) {
       now + std::chrono::milliseconds(to_ms(config_.probe_interval_s));
   h.probe_deadline =
       now + std::chrono::milliseconds(to_ms(config_.probe_timeout_s));
-  h.probe_in.clear();
-  h.probe_off = 0;
-  h.probe_out = "GET /readyz HTTP/1.1\r\nHost: " + addr.host +
-                "\r\nConnection: close\r\n\r\n";
-  try {
-    h.probe_fd = serve::tcp_connect_start(addr.host, addr.http_port);
-  } catch (const NetError&) {
-    h.phase = BackendHealth::ProbePhase::kIdle;
-    on_probe_failure(index);
-    return;
-  }
-  h.phase = BackendHealth::ProbePhase::kConnecting;
+  h.probe.emplace(addr.host, addr.http_port, "GET", "/readyz", "", "",
+                  kMaxProbeResponseBytes);
+  if (h.probe->done()) finish_probe(index);  // the connect failed at once
 }
 
 void Router::probe_io(std::size_t index, short revents) {
   BackendHealth& h = health_[index];
-  if (h.phase == BackendHealth::ProbePhase::kIdle || !h.probe_fd.valid()) {
-    return;
-  }
-  if ((revents & (POLLERR | POLLNVAL)) != 0) {
-    finish_probe(index, /*ok=*/false, {});
-    return;
-  }
-  if (h.phase == BackendHealth::ProbePhase::kConnecting) {
-    int err = 0;
-    socklen_t len = sizeof(err);
-    if (::getsockopt(h.probe_fd.get(), SOL_SOCKET, SO_ERROR, &err, &len) <
-            0 ||
-        err != 0) {
-      finish_probe(index, /*ok=*/false, {});
-      return;
-    }
-    h.phase = BackendHealth::ProbePhase::kSending;
-  }
-  if (h.phase == BackendHealth::ProbePhase::kSending) {
-    while (h.probe_off < h.probe_out.size()) {
-      const ssize_t n = ::send(h.probe_fd.get(),
-                               h.probe_out.data() + h.probe_off,
-                               h.probe_out.size() - h.probe_off,
-                               MSG_NOSIGNAL);
-      if (n > 0) {
-        h.probe_off += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      finish_probe(index, /*ok=*/false, {});
-      return;
-    }
-    h.phase = BackendHealth::ProbePhase::kReading;
-  }
-  if (h.phase == BackendHealth::ProbePhase::kReading) {
-    char buf[4096];
-    while (true) {
-      const ssize_t n = ::recv(h.probe_fd.get(), buf, sizeof(buf), 0);
-      if (n > 0) {
-        h.probe_in.append(buf, static_cast<std::size_t>(n));
-        if (h.probe_in.size() > kMaxProbeResponseBytes) {
-          finish_probe(index, /*ok=*/false, {});
-          return;
-        }
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      if (n == 0) {
-        // serve stamps Geovalid-Instance on /readyz so the router can tell
-        // a connection blip from a process restart.
-        try {
-          const serve::HttpResponse resp =
-              serve::parse_http_response(h.probe_in, "GET", "/readyz");
-          finish_probe(index, resp.status == 200,
-                       resp.header("Geovalid-Instance"));
-        } catch (const NetError&) {
-          finish_probe(index, /*ok=*/false, {});
-        }
-        return;
-      }
-      finish_probe(index, /*ok=*/false, {});
-      return;
-    }
-  }
+  if (!h.probe) return;
+  h.probe->step(revents);
+  if (h.probe->done()) finish_probe(index);
 }
 
-void Router::finish_probe(std::size_t index, bool ok,
-                          std::string instance) {
+void Router::finish_probe(std::size_t index) {
   BackendHealth& h = health_[index];
-  h.phase = BackendHealth::ProbePhase::kIdle;
-  h.probe_fd.reset();
-  h.probe_out.clear();
-  h.probe_in.clear();
-  h.probe_off = 0;
+  // serve stamps Geovalid-Instance on /readyz so the router can tell a
+  // connection blip from a process restart.
+  const std::optional<serve::HttpResponse>& resp = h.probe->response();
+  const bool ok = resp && resp->status == 200;
+  std::string instance = ok ? resp->header("Geovalid-Instance") : "";
+  h.probe.reset();
   if (ok) {
     on_probe_success(index, std::move(instance));
   } else {
@@ -1107,38 +999,18 @@ bool Router::flush_all_blocking(int deadline_ms) {
 void Router::complete_drain() {
   flush_all_blocking(fanout_deadline_ms());
   std::vector<std::string> failed;
-  std::string ok_entries;
-  for (std::size_t i = 0; i < forwarders_.size(); ++i) {
-    Forwarder& f = *forwarders_[i];
+  for (const auto& f : forwarders_) {
     // A backend that still holds queued or spooled records at drain time
     // cannot have applied them: name it failed (close() counts the loss).
-    if (f.buffered() > 0 || f.spool_records() > 0) {
-      failed.push_back(f.addr().name);
+    if (f->buffered() > 0 || f->spool_records() > 0) {
+      failed.push_back(f->addr().name);
     }
-    f.close();  // EOF: the backend's drain can now see ingest quiesce
+    f->close();  // EOF: the backend's drain can now see ingest quiesce
   }
-  const auto mark_failed = [&failed](const std::string& name) {
-    if (std::find(failed.begin(), failed.end(), name) == failed.end()) {
-      failed.push_back(name);
-    }
-  };
-  for (std::size_t i = 0; i < forwarders_.size(); ++i) {
-    const BackendAddr& addr = forwarders_[i]->addr();
-    try {
-      serve::HttpResponse resp = serve::http_post_deadline(
-          addr.host, addr.http_port, "/admin/drain", fanout_deadline_ms());
-      if (resp.status == 200) {
-        if (!ok_entries.empty()) ok_entries += ',';
-        ok_entries += "{\"name\":\"" + addr.name +
-                      "\",\"response\":" + resp.body + "}";
-      } else {
-        mark_failed(addr.name);
-      }
-    } catch (const NetError&) {
-      mark_failed(addr.name);
-      if (metrics_) metrics_->backend_errors[i]->inc();
-    }
-  }
+  std::string ok_entries;
+  collect_writes(
+      fan_out("POST", "/admin/drain", all_backends(), fanout_deadline_ms()),
+      failed, ok_entries);
   if (failed.empty()) {
     drain_status_ = 200;
     drain_body_ =
@@ -1147,10 +1019,7 @@ void Router::complete_drain() {
     // Not atomic: backends that answered 200 have drained and exited;
     // the rest are listed for the operator (docs/CLUSTER.md, failure
     // semantics).
-    drain_status_ = 502;
-    drain_body_ = "{\"error\":\"drain fan-out failed\",\"failed\":";
-    append_json_string_array(drain_body_, failed);
-    drain_body_ += "}";
+    set_fan_out_error(drain_status_, drain_body_, "drain", failed);
   }
   drain_done_ = true;
   loop_.answer_drain_waiters(drain_status_, drain_body_);
@@ -1242,11 +1111,8 @@ RouteStats Router::run(const std::atomic<bool>* stop) {
       }
     }
     for (std::size_t i = 0; i < health_.size(); ++i) {
-      const BackendHealth& h = health_[i];
-      if (h.phase != BackendHealth::ProbePhase::kIdle && h.probe_fd.valid()) {
-        watch(h.probe_fd.get(),
-              h.phase == BackendHealth::ProbePhase::kReading ? POLLIN : POLLOUT,
-              ExtraKind::kProbe, i);
+      if (const auto& probe = health_[i].probe) {
+        watch(probe->fd(), probe->events(), ExtraKind::kProbe, i);
       }
     }
 

@@ -115,9 +115,10 @@ struct RouteConfig {
   /// is never a drop.
   std::size_t spool_bytes = 16 * 1024 * 1024;
 
-  /// Deadline for control-plane fan-out (forwarder flush before
-  /// checkpoint/drain, plus every backend HTTP call the control plane
-  /// makes). The CLI flag is --fanout-deadline-s.
+  /// Deadline for one control-plane fan-out: every backend is called at
+  /// once and the whole fan-out ends within it, however many backends
+  /// stall (not one deadline per backend). It also bounds the forwarder
+  /// flush before checkpoint/drain. The CLI flag is --fanout-deadline-s.
   double fanout_deadline_s = 30.0;
 
   /// Deterministic network fault injection (--inject-net-faults,
@@ -205,20 +206,10 @@ class Router final : private serve::ConnHandler {
 
   // -- Self-healing (probe loop + reconnect + recovery protocol) --------
 
-  /// Non-blocking health probe to one backend's GET /readyz, driven by
-  /// the router's poll loop as an extra fd.
+  /// Health bookkeeping for one backend. The in-flight GET /readyz probe
+  /// is an HttpExchange the router's poll loop drives as an extra fd.
   struct BackendHealth {
-    enum class ProbePhase : std::uint8_t {
-      kIdle,
-      kConnecting,
-      kSending,
-      kReading,
-    };
-    ProbePhase phase = ProbePhase::kIdle;
-    serve::Fd probe_fd;
-    std::string probe_out;  ///< request bytes still to send
-    std::size_t probe_off = 0;
-    std::string probe_in;  ///< raw response accumulated to EOF
+    std::optional<serve::HttpExchange> probe;
     Clock::time_point probe_deadline{};
     Clock::time_point next_probe_at{};  ///< epoch start = immediately due
 
@@ -234,9 +225,10 @@ class Router final : private serve::ConnHandler {
   /// Due-time driving: start/expire probes, attempt backoff reconnects.
   void check_health_timers(Clock::time_point now);
   void start_probe(std::size_t index, Clock::time_point now);
-  /// Poll-event hook for a probe fd; advances the probe state machine.
+  /// Poll-event hook for a probe fd; advances the probe exchange.
   void probe_io(std::size_t index, short revents);
-  void finish_probe(std::size_t index, bool ok, std::string instance);
+  /// Settles a finished (or expired) probe: 200 passes, all else fails.
+  void finish_probe(std::size_t index);
   void on_probe_success(std::size_t index, std::string instance);
   void on_probe_failure(std::size_t index);
 
@@ -248,9 +240,27 @@ class Router final : private serve::ConnHandler {
 
   [[nodiscard]] int fanout_deadline_ms() const;
 
+  /// One answer slot per backend, in ring order; empty when the backend
+  /// was not called or its call failed.
+  using Answers = std::vector<std::optional<serve::HttpResponse>>;
+  /// Sends `method path` to the backends at ring indices `backends`, all
+  /// at once under one `timeout_ms` deadline. Transport failures are
+  /// counted in cluster_backend_errors_total here, once per backend.
+  Answers fan_out(const char* method, const std::string& path,
+                  const std::vector<std::size_t>& backends, int timeout_ms);
+  /// A write fan-out's outcome (checkpoint, drain): each 200 joins
+  /// `ok_entries` as {"name":N,"response":BODY}, every other backend
+  /// joins `failed` once, in ring order.
+  void collect_writes(const Answers& answers,
+                      std::vector<std::string>& failed,
+                      std::string& ok_entries) const;
+  /// Ring indices of every backend, for a fan-out to the whole cluster.
+  [[nodiscard]] std::vector<std::size_t> all_backends() const;
+
   [[nodiscard]] std::uint64_t covered_count(trace::UserId user) const;
 
-  // Control-plane handlers (blocking fan-out over backend HTTP).
+  // Control-plane handlers: each backend call is one fan_out, which
+  // blocks the loop for at most one deadline.
   void handle_readyz(int& status, std::string& content_type,
                      std::string& body);
   void handle_metrics(int& status, std::string& content_type,

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 namespace geovalid::serve {
 namespace {
@@ -67,83 +68,44 @@ constexpr int kNoDeadlineMs = std::numeric_limits<int>::max();
 /// not-yet-expired deadline always reports at least 1 so poll() cannot
 /// round a live budget down to a busy-spin or an instant timeout.
 int remaining_ms(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - Clock::now());
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
   if (left.count() <= 0) return 0;
   return static_cast<int>(left.count());
 }
 
-[[noreturn]] void throw_deadline(const std::string& what) {
-  throw NetError(what + ": deadline exceeded");
+/// The pending error of a socket whose non-blocking connect has ended
+/// (SO_ERROR): empty when the connect succeeded.
+std::string connect_error(int fd) {
+  int err = 0;
+  socklen_t len = sizeof(err);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) err = errno;
+  return err == 0 ? std::string() : std::strerror(err);
 }
 
-/// poll() for `events` on `fd` until the deadline; false on expiry.
-bool poll_until(int fd, short events, Clock::time_point deadline) {
-  while (true) {
-    const int budget = remaining_ms(deadline);
-    if (budget == 0) return false;
-    pollfd p{};
-    p.fd = fd;
-    p.events = events;
-    const int rc = ::poll(&p, 1, budget);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("poll");
-    }
-    if (rc > 0) return true;
+/// Parses one raw `Connection: close` response (status line, header
+/// block, body); `what` labels the NetError thrown for a short or
+/// malformed response.
+HttpResponse parse_http_response(const std::string& raw,
+                                 const std::string& what) {
+  HttpResponse resp;
+  const std::size_t line_end = raw.find("\r\n");
+  if (line_end == std::string::npos) {
+    throw NetError(what + ": short response");
   }
-}
-
-HttpResponse http_request_deadline(const std::string& host,
-                                   std::uint16_t port,
-                                   const std::string& method,
-                                   const std::string& target, int timeout_ms,
-                                   const std::string& body = {},
-                                   const std::string& content_type = {}) {
-  const std::string what =
-      "http " + method + " " + target + " to " + host + ":" +
-      std::to_string(port);
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(timeout_ms);
-  Fd fd = tcp_connect_deadline(host, port, timeout_ms);
-
-  const std::string request =
-      build_request(host, method, target, body, content_type);
-  std::size_t off = 0;
-  while (off < request.size()) {
-    const ssize_t n = ::send(fd.get(), request.data() + off,
-                             request.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (!poll_until(fd.get(), POLLOUT, deadline)) throw_deadline(what);
-        continue;
-      }
-      if (errno == EPIPE || errno == ECONNRESET) {
-        throw NetError(what + ": peer closed");
-      }
-      throw_errno("send");
-    }
-    off += static_cast<std::size_t>(n);
+  const std::string status_line = raw.substr(0, line_end);
+  const std::size_t sp = status_line.find(' ');
+  if (sp == std::string::npos) {
+    throw NetError(what + ": malformed status line: " + status_line);
   }
-
-  std::string raw;
-  char buf[16384];
-  while (true) {
-    const ssize_t n = ::recv(fd.get(), buf, sizeof(buf), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (!poll_until(fd.get(), POLLIN, deadline)) throw_deadline(what);
-        continue;
-      }
-      if (errno == ECONNRESET) break;  // peer reset after its final write
-      throw_errno("recv");
-    }
-    if (n == 0) break;
-    raw.append(buf, static_cast<std::size_t>(n));
+  resp.status = std::atoi(status_line.c_str() + sp + 1);
+  const std::size_t head_end = raw.find("\r\n\r\n");
+  if (head_end == std::string::npos) {
+    throw NetError(what + ": response head never ended");
   }
-  return parse_http_response(raw, method, target);
+  resp.headers = raw.substr(line_end + 2, head_end - line_end - 2);
+  resp.body = raw.substr(head_end + 4);
+  return resp;
 }
 
 }  // namespace
@@ -208,13 +170,14 @@ Fd tcp_connect_deadline(const std::string& host, std::uint16_t port,
   Fd fd = tcp_connect_start(host, port);
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(timeout_ms);
-  if (!poll_until(fd.get(), POLLOUT, deadline)) throw_deadline(what);
-  int err = 0;
-  socklen_t len = sizeof(err);
-  if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
-    throw_errno("getsockopt(SO_ERROR)");
+  pollfd p{fd.get(), POLLOUT, 0};
+  int rc = 0;
+  while ((rc = ::poll(&p, 1, remaining_ms(deadline))) < 0 && errno == EINTR) {
   }
-  if (err != 0) throw NetError(what + ": " + std::strerror(err));
+  if (rc < 0) throw_errno("poll");
+  if (rc == 0) throw NetError(what + ": deadline exceeded");
+  const std::string err = connect_error(fd.get());
+  if (!err.empty()) throw NetError(what + ": " + err);
   return fd;
 }
 
@@ -256,29 +219,6 @@ std::string recv_all(int fd) {
   return out;
 }
 
-HttpResponse parse_http_response(const std::string& raw,
-                                 const std::string& method,
-                                 const std::string& target) {
-  HttpResponse resp;
-  const std::size_t line_end = raw.find("\r\n");
-  if (line_end == std::string::npos) {
-    throw NetError("http " + method + " " + target + ": short response");
-  }
-  const std::string status_line = raw.substr(0, line_end);
-  const std::size_t sp = status_line.find(' ');
-  if (sp == std::string::npos) {
-    throw NetError("http: malformed status line: " + status_line);
-  }
-  resp.status = std::atoi(status_line.c_str() + sp + 1);
-  const std::size_t head_end = raw.find("\r\n\r\n");
-  if (head_end == std::string::npos) {
-    throw NetError("http: response head never ended");
-  }
-  resp.headers = raw.substr(line_end + 2, head_end - line_end - 2);
-  resp.body = raw.substr(head_end + 4);
-  return resp;
-}
-
 std::string HttpResponse::header(std::string_view name) const {
   std::size_t pos = 0;
   while (pos < headers.size()) {
@@ -298,34 +238,150 @@ std::string HttpResponse::header(std::string_view name) const {
   return {};
 }
 
-HttpResponse http_get(const std::string& host, std::uint16_t port,
-                      const std::string& target) {
-  return http_request_deadline(host, port, "GET", target, kNoDeadlineMs);
+HttpExchange::HttpExchange(const std::string& host, std::uint16_t port,
+                           const std::string& method,
+                           const std::string& target,
+                           const std::string& body,
+                           const std::string& content_type,
+                           std::size_t max_response_bytes)
+    : what_("http " + method + " " + target + " to " + host + ":" +
+            std::to_string(port)),
+      max_response_bytes_(max_response_bytes),
+      out_(build_request(host, method, target, body, content_type)) {
+  try {
+    fd_ = tcp_connect_start(host, port);
+  } catch (const NetError& e) {
+    error_ = e.what();
+  }
 }
 
-HttpResponse http_post(const std::string& host, std::uint16_t port,
-                       const std::string& target) {
-  return http_request_deadline(host, port, "POST", target, kNoDeadlineMs);
+short HttpExchange::events() const {
+  return connected_ && out_.empty() ? POLLIN : POLLOUT;
+}
+
+void HttpExchange::step(short revents) {
+  if (done()) return;
+  if ((revents & POLLNVAL) != 0) return fail("invalid socket");
+  if (!connected_) {
+    const std::string err = connect_error(fd_.get());
+    if (!err.empty()) return fail(err);
+    connected_ = true;
+  }
+  while (!out_.empty()) {
+    const ssize_t n =
+        ::send(fd_.get(), out_.data(), out_.size(), MSG_NOSIGNAL);
+    if (n >= 0) {
+      out_.erase(0, static_cast<std::size_t>(n));
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return;
+    } else if (errno != EINTR) {
+      return fail(errno == EPIPE || errno == ECONNRESET
+                      ? "peer closed"
+                      : std::string("send: ") + std::strerror(errno));
+    }
+  }
+  char buf[16384];
+  ssize_t n = 0;
+  while ((n = ::recv(fd_.get(), buf, sizeof(buf), 0)) != 0) {
+    if (n > 0) {
+      in_.append(buf, static_cast<std::size_t>(n));
+      if (in_.size() > max_response_bytes_) {
+        return fail("response exceeds " +
+                    std::to_string(max_response_bytes_) + " bytes");
+      }
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return;
+    } else if (errno == ECONNRESET) {
+      break;  // the peer reset after its final write: the response is whole
+    } else if (errno != EINTR) {
+      return fail(std::string("recv: ") + std::strerror(errno));
+    }
+  }
+  fd_.reset();
+  try {
+    response_ = parse_http_response(in_, what_);
+  } catch (const NetError& e) {
+    error_ = e.what();
+  }
+}
+
+void HttpExchange::expire() {
+  if (!done()) fail("deadline exceeded");
+}
+
+void HttpExchange::fail(const std::string& why) {
+  error_ = what_ + ": " + why;
+  fd_.reset();
+}
+
+void run_http_exchanges(std::vector<HttpExchange>& exchanges,
+                        int timeout_ms) {
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(timeout_ms);
+  std::vector<pollfd> fds(exchanges.size());
+  while (true) {
+    bool running = false;
+    for (std::size_t i = 0; i < exchanges.size(); ++i) {
+      // A done exchange polls fd -1, which poll() skips.
+      fds[i] = {exchanges[i].fd(), exchanges[i].events(), 0};
+      running = running || !exchanges[i].done();
+    }
+    if (!running) return;
+    const int budget = remaining_ms(deadline);
+    if (budget == 0) {
+      for (HttpExchange& x : exchanges) x.expire();
+      return;
+    }
+    if (::poll(fds.data(), fds.size(), budget) < 0 && errno != EINTR) {
+      throw_errno("poll");
+    }
+    for (std::size_t i = 0; i < exchanges.size(); ++i) {
+      if (fds[i].revents != 0) exchanges[i].step(fds[i].revents);
+    }
+  }
+}
+
+namespace {
+
+/// One exchange run alone: the blocking client.
+HttpResponse request_once(const std::string& host, std::uint16_t port,
+                          const std::string& method,
+                          const std::string& target, int timeout_ms,
+                          const std::string& body = {},
+                          const std::string& content_type = {}) {
+  std::vector<HttpExchange> one;
+  one.emplace_back(host, port, method, target, body, content_type);
+  run_http_exchanges(one, timeout_ms);
+  std::optional<HttpResponse>& response = one.front().response();
+  if (!response) throw NetError(one.front().error());
+  return std::move(*response);
+}
+
+}  // namespace
+
+HttpResponse http_get(const std::string& host, std::uint16_t port,
+                      const std::string& target) {
+  return request_once(host, port, "GET", target, kNoDeadlineMs);
 }
 
 HttpResponse http_post(const std::string& host, std::uint16_t port,
                        const std::string& target, const std::string& body,
                        const std::string& content_type) {
-  return http_request_deadline(host, port, "POST", target, kNoDeadlineMs,
-                               body, content_type);
+  return request_once(host, port, "POST", target, kNoDeadlineMs, body,
+                      content_type);
 }
 
 HttpResponse http_get_deadline(const std::string& host, std::uint16_t port,
                                const std::string& target, int timeout_ms) {
-  return http_request_deadline(host, port, "GET", target, timeout_ms);
+  return request_once(host, port, "GET", target, timeout_ms);
 }
 
 HttpResponse http_post_deadline(const std::string& host, std::uint16_t port,
                                 const std::string& target, int timeout_ms,
                                 const std::string& body,
                                 const std::string& content_type) {
-  return http_request_deadline(host, port, "POST", target, timeout_ms, body,
-                               content_type);
+  return request_once(host, port, "POST", target, timeout_ms, body,
+                      content_type);
 }
 
 }  // namespace geovalid::serve

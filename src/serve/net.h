@@ -1,5 +1,5 @@
-// Thin POSIX socket layer shared by the serve event loop, the loadgen
-// client and the tests.
+// Thin POSIX socket layer shared by the serve event loop, the cluster
+// router, the loadgen client and the tests.
 //
 // Everything here is dependency-free (plain <sys/socket.h>): RAII fd
 // ownership, IPv4 listeners with ephemeral-port support (`port 0` binds,
@@ -9,10 +9,14 @@
 // signal).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace geovalid::serve {
 
@@ -89,8 +93,7 @@ bool send_all(int fd, std::string_view data);
 /// Reads until EOF (blocking). Throws NetError on socket errors.
 [[nodiscard]] std::string recv_all(int fd);
 
-/// Minimal blocking HTTP/1.1 client for tests, loadgen probes and the CI
-/// smoke script: one request, `Connection: close`, whole response back.
+/// One parsed `Connection: close` HTTP/1.1 response.
 struct HttpResponse {
   int status = 0;
   std::string headers;  ///< raw header block (CRLF-separated lines)
@@ -100,34 +103,70 @@ struct HttpResponse {
   [[nodiscard]] std::string header(std::string_view name) const;
 };
 
-/// Parses one raw `Connection: close` response (status line, header
-/// block, body); `method`/`target` only label the NetError thrown for a
-/// short or malformed response.
-[[nodiscard]] HttpResponse parse_http_response(const std::string& raw,
-                                               const std::string& method,
-                                               const std::string& target);
+/// The one HTTP client: a single non-blocking request over its own
+/// `Connection: close` socket. It connects (tcp_connect_start), sends,
+/// reads to EOF under `max_response_bytes` (a reset after the peer's
+/// last write also ends the response) and parses. The caller polls fd()
+/// for events() and passes the revents to step() until done();
+/// run_http_exchanges does that for a batch, and the router's /readyz
+/// probe from its own poll loop. Failures never throw: they end the
+/// exchange with error() set and no response().
+class HttpExchange {
+ public:
+  HttpExchange(const std::string& host, std::uint16_t port,
+               const std::string& method, const std::string& target,
+               const std::string& body = {},
+               const std::string& content_type = {},
+               std::size_t max_response_bytes =
+                   std::numeric_limits<std::size_t>::max());
 
+  [[nodiscard]] int fd() const { return fd_.get(); }  ///< -1 once done
+  [[nodiscard]] short events() const;
+  [[nodiscard]] bool done() const { return !fd_.valid(); }
+  void step(short revents);
+  /// Fails a still-running exchange with "deadline exceeded".
+  void expire();
+
+  /// Set once done without error.
+  [[nodiscard]] std::optional<HttpResponse>& response() { return response_; }
+  [[nodiscard]] const std::string& error() const { return error_; }
+
+ private:
+  void fail(const std::string& why);
+
+  std::string what_;  ///< "http METHOD target to host:port", error prefix
+  std::size_t max_response_bytes_;
+  bool connected_ = false;
+  Fd fd_;
+  std::string out_;  ///< request bytes not yet sent
+  std::string in_;   ///< raw response so far
+  std::optional<HttpResponse> response_;
+  std::string error_;
+};
+
+/// Runs `exchanges` together in one poll loop under one shared deadline:
+/// it returns within `timeout_ms` however many peers stall, failing the
+/// unfinished ones with "deadline exceeded". Results stay in place, in
+/// request order.
+void run_http_exchanges(std::vector<HttpExchange>& exchanges,
+                        int timeout_ms);
+
+/// Blocking one-exchange calls (tests, loadgen probes, the benchmark
+/// driver); a failure throws NetError.
 [[nodiscard]] HttpResponse http_get(const std::string& host,
                                     std::uint16_t port,
                                     const std::string& target);
-[[nodiscard]] HttpResponse http_post(const std::string& host,
-                                     std::uint16_t port,
-                                     const std::string& target);
-
-/// POST with a request body (Content-Length framed); used by the cluster
-/// rebalance endpoint and its tests.
+/// POST, with an optional Content-Length framed body.
 [[nodiscard]] HttpResponse http_post(const std::string& host,
                                      std::uint16_t port,
                                      const std::string& target,
-                                     const std::string& body,
+                                     const std::string& body = {},
                                      const std::string& content_type =
                                          "application/json");
 
-/// Deadline-bounded variants: the whole request (connect + send + full
-/// response) must finish within `timeout_ms`, so a backend that accepts
-/// the TCP connection but never answers surfaces as a NetError whose
-/// message contains "deadline" instead of hanging the caller. The cluster
-/// router's control-plane fan-out and health probes use these.
+/// Deadline-bounded variants: connect, send and the full response must
+/// finish within `timeout_ms`, so a peer that accepts and never answers
+/// surfaces as a NetError containing "deadline" instead of a hang.
 [[nodiscard]] HttpResponse http_get_deadline(const std::string& host,
                                              std::uint16_t port,
                                              const std::string& target,

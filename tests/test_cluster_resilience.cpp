@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "cluster/router.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/net.h"
 #include "serve/server.h"
@@ -510,6 +511,82 @@ TEST(ClusterResilience, FanOutAgainstStalledBackendReturnsWithinDeadline) {
   stop.store(true);
   loop.join();
   EXPECT_EQ(stats.exit, RouteExit::kStopped);
+}
+
+TEST(ClusterResilience, FanOutDeadlineIsSharedAcrossStalledBackends) {
+  // Two backends that accept TCP and never answer. One fan-out calls
+  // both at once, so /v1/summary fails after one --fanout-deadline-s,
+  // not one per stalled backend, and each failure is counted once.
+  const auto backend_errors = [](const std::string& name) {
+    return obs::registry()
+        .counter("cluster_backend_errors_total",
+                 "Failed control-plane calls to a backend (scrapes, "
+                 "fan-outs, proxies)",
+                 {{"backend", name}})
+        .value();
+  };
+  std::vector<serve::Fd> stalled;
+  RouteConfig rc;
+  rc.metrics = true;
+  rc.fanout_deadline_s = 1.0;
+  rc.probe_timeout_s = 0.2;
+  rc.probe_interval_s = 60.0;  // keep the async probe loop out of the way
+  rc.probe_down_after = 100;
+  for (const char* name : {"stall0", "stall1"}) {
+    stalled.push_back(serve::tcp_listen("127.0.0.1", 0));
+    BackendAddr addr;
+    addr.name = name;
+    addr.ingest_port = serve::local_port(stalled.back().get());
+    addr.http_port = addr.ingest_port;
+    rc.backends.push_back(std::move(addr));
+  }
+  {
+    Router router(std::move(rc));
+    router.start();
+    std::atomic<bool> stop{false};
+    std::thread loop([&] { (void)router.run(&stop); });
+    const std::uint64_t before0 = backend_errors("stall0");
+    const std::uint64_t before1 = backend_errors("stall1");
+
+    const Clock::time_point t0 = Clock::now();
+    const serve::HttpResponse summary =
+        serve::http_get("127.0.0.1", router.http_port(), "/v1/summary");
+    const double elapsed =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+    EXPECT_EQ(summary.status, 502) << summary.body;
+    EXPECT_LT(elapsed, 1.8) << "fan-out waited once per stalled backend";
+    EXPECT_EQ(backend_errors("stall0"), before0 + 1);
+    EXPECT_EQ(backend_errors("stall1"), before1 + 1);
+
+    stop.store(true);
+    loop.join();
+  }
+
+  // A backend's own 404 for an unknown user is an answer, not a failure.
+  serve::ServeConfig sc;
+  sc.metrics = false;
+  TestBackend live(std::move(sc));
+  RouteConfig live_rc;
+  live_rc.metrics = true;
+  {
+    BackendAddr addr;
+    addr.name = "live0";
+    addr.ingest_port = live.server.ingest_port();
+    addr.http_port = live.server.http_port();
+    live_rc.backends.push_back(std::move(addr));
+  }
+  Router router(std::move(live_rc));
+  router.start();
+  std::atomic<bool> stop{false};
+  std::thread loop([&] { (void)router.run(&stop); });
+  const std::uint64_t before = backend_errors("live0");
+  EXPECT_EQ(serve::http_get("127.0.0.1", router.http_port(),
+                            "/v1/users/999/verdicts")
+                .status,
+            404);
+  EXPECT_EQ(backend_errors("live0"), before);
+  stop.store(true);
+  loop.join();
 }
 
 TEST(ClusterResilience, LoadgenRetriesReconnectAndReportExhaustion) {

@@ -239,6 +239,16 @@ TEST(ClusterRouter, ControlPlaneStatusesAndReadyz) {
       400);
   EXPECT_EQ(http_post("127.0.0.1", port, "/admin/backends/b0", "{}").status,
             400);
+  // Ports are whole decimals: a fraction or an exponent is refused, not
+  // truncated into a replacement address.
+  EXPECT_EQ(http_post("127.0.0.1", port, "/admin/backends/b0",
+                      R"({"ingest_port":8080.9,"http_port":1e3})")
+                .status,
+            400);
+  EXPECT_EQ(http_post("127.0.0.1", port, "/admin/backends/b0",
+                      R"({"ingest_port":1e3,"http_port":8080})")
+                .status,
+            400);
 }
 
 TEST(ClusterRouter, ProxiesVerdictsToTheRingOwner) {
