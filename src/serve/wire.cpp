@@ -4,52 +4,18 @@
 #include <array>
 #include <bit>
 #include <charconv>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "stream/snapshot_io.h"
+#include "trace/csv.h"
 #include "trace/poi.h"
 
 namespace geovalid::serve {
 namespace {
 
-/// Splits on commas into at most `max_fields` views. Returns the field
-/// count, or max_fields + 1 when the line has too many separators.
-std::size_t split(std::string_view line,
-                  std::array<std::string_view, 9>& fields,
-                  std::size_t max_fields) {
-  std::size_t count = 0;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = line.find(',', start);
-    if (count == max_fields) return max_fields + 1;
-    fields[count++] = line.substr(
-        start, comma == std::string_view::npos ? comma : comma - start);
-    if (comma == std::string_view::npos) return count;
-    start = comma + 1;
-  }
-}
-
-/// Same numeric grammar as the CSV reader (trace/csv.cpp): strict integers
-/// via from_chars, doubles via strtod over a bounded copy (accepts the
-/// nan/inf spellings the fault injector can produce — the quarantine path
-/// rejects them semantically, with the same reason as CSV ingest).
-template <typename T>
-bool parse_int(std::string_view s, T& out) {
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
-}
-
-bool parse_double(std::string_view s, double& out) {
-  char buf[64];
-  if (s.empty() || s.size() >= sizeof(buf)) return false;
-  std::memcpy(buf, s.data(), s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  out = std::strtod(buf, &end);
-  return end == buf + s.size();
-}
+// The field grammar shared with the CSV reader (trace/csv.h).
+using trace::parse_double_field;
+using trace::parse_int_field;
 
 WireError err(const char* what) { return WireError{what}; }
 
@@ -70,21 +36,27 @@ void append_num(std::string& out, T v) {
 
 WireResult parse_wire_record(std::string_view line) {
   std::array<std::string_view, 9> f;
-  const std::size_t n = split(line, f, 9);
+  const std::size_t n = trace::split_fields(line, f);
   if (n == 0 || f[0].empty()) return err("empty record");
   if (f[0] == "gps") {
     if (n != 8) return err("gps record expects 8 fields");
     trace::UserId user = 0;
     trace::GpsPoint p;
     int has_fix = 0;
-    if (!parse_int(f[1], user)) return err("bad user field");
-    if (!parse_int(f[2], p.t)) return err("bad t field");
-    if (!parse_double(f[3], p.position.lat_deg)) return err("bad lat field");
-    if (!parse_double(f[4], p.position.lon_deg)) return err("bad lon field");
-    if (!parse_int(f[5], has_fix)) return err("bad has_fix field");
+    if (!parse_int_field(f[1], user)) return err("bad user field");
+    if (!parse_int_field(f[2], p.t)) return err("bad t field");
+    if (!parse_double_field(f[3], p.position.lat_deg)) {
+      return err("bad lat field");
+    }
+    if (!parse_double_field(f[4], p.position.lon_deg)) {
+      return err("bad lon field");
+    }
+    if (!parse_int_field(f[5], has_fix)) return err("bad has_fix field");
     p.has_fix = has_fix != 0;
-    if (!parse_int(f[6], p.wifi_fingerprint)) return err("bad wifi field");
-    if (!parse_double(f[7], p.accel_variance)) {
+    if (!parse_int_field(f[6], p.wifi_fingerprint)) {
+      return err("bad wifi field");
+    }
+    if (!parse_double_field(f[7], p.accel_variance)) {
       return err("bad accel_var field");
     }
     return stream::Event::gps_sample(user, p);
@@ -93,14 +65,18 @@ WireResult parse_wire_record(std::string_view line) {
     if (n != 7) return err("checkin record expects 7 fields");
     trace::UserId user = 0;
     trace::Checkin c;
-    if (!parse_int(f[1], user)) return err("bad user field");
-    if (!parse_int(f[2], c.t)) return err("bad t field");
-    if (!parse_int(f[3], c.poi)) return err("bad poi field");
+    if (!parse_int_field(f[1], user)) return err("bad user field");
+    if (!parse_int_field(f[2], c.t)) return err("bad t field");
+    if (!parse_int_field(f[3], c.poi)) return err("bad poi field");
     const auto category = trace::parse_poi_category(f[4]);
     if (!category) return err("unknown category");
     c.category = *category;
-    if (!parse_double(f[5], c.location.lat_deg)) return err("bad lat field");
-    if (!parse_double(f[6], c.location.lon_deg)) return err("bad lon field");
+    if (!parse_double_field(f[5], c.location.lat_deg)) {
+      return err("bad lat field");
+    }
+    if (!parse_double_field(f[6], c.location.lon_deg)) {
+      return err("bad lon field");
+    }
     return stream::Event::checkin_event(user, c);
   }
   return err("unknown record kind");

@@ -2,7 +2,8 @@
 // serve layer's TCP ingest port.
 //
 // One record per line, LF or CRLF terminated, same field grammar as the
-// CSV datasets (trace/csv.cpp) with a leading kind verb:
+// CSV datasets (split_fields, parse_int_field and parse_double_field in
+// trace/csv.h) with a leading kind verb:
 //
 //   gps,<user>,<t>,<lat>,<lon>,<has_fix>,<wifi>,<accel_var>
 //   checkin,<user>,<t>,<poi>,<category>,<lat>,<lon>

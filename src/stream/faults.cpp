@@ -1,7 +1,6 @@
 #include "stream/faults.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -9,6 +8,8 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+
+#include "trace/csv.h"
 
 namespace geovalid::stream {
 namespace {
@@ -36,8 +37,7 @@ double uniform01(std::uint64_t seed, std::uint64_t offset,
 std::uint64_t parse_u64(std::string_view spec, std::string_view s,
                         const char* what) {
   std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
+  if (!trace::parse_int_field(s, v)) {
     bad_spec(spec, std::string(what) + " expects a non-negative integer, got '" +
                        std::string(s) + "'");
   }
@@ -46,15 +46,7 @@ std::uint64_t parse_u64(std::string_view spec, std::string_view s,
 
 double parse_rate(std::string_view spec, std::string_view s) {
   double v = 0.0;
-  char buf[64];
-  if (s.empty() || s.size() >= sizeof(buf)) {
-    bad_spec(spec, "corrupt expects a probability");
-  }
-  s.copy(buf, s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  v = std::strtod(buf, &end);
-  if (end != buf + s.size() || !(v > 0.0) || v > 1.0) {
+  if (!trace::parse_double_field(s, v) || !(v > 0.0) || v > 1.0) {
     bad_spec(spec, "corrupt expects a probability in (0, 1], got '" +
                        std::string(s) + "'");
   }

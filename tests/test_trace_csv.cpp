@@ -1,8 +1,15 @@
 // Round-trip tests for the CSV dataset codec.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <unistd.h>
@@ -331,6 +338,83 @@ TEST_F(CsvRoundTrip, PoiNameWithCommaIsSanitized) {
   const Dataset loaded = read_dataset_csv(dir_, "t");
   ASSERT_EQ(loaded.pois().size(), 1u);
   EXPECT_EQ(loaded.pois().at(1).name, "Joe's  Diner");
+}
+
+TEST_F(CsvRoundTrip, WriteFailureThrows) {
+  // pois.csv is a link to a device that fails every write with ENOSPC.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  fs::create_directories(dir_);
+  fs::create_symlink("/dev/full", dir_ / "pois.csv");
+  EXPECT_THROW(write_dataset_csv(tiny_dataset(), dir_), std::runtime_error);
+}
+
+/// The field parser before it had a fast path: strtod over a bounded copy,
+/// taken only when it consumed the whole field.
+bool reference_parse(std::string_view s, double& out) {
+  char buf[kMaxNumericField];
+  if (s.empty() || s.size() >= sizeof(buf)) return false;
+  std::memcpy(buf, s.data(), s.size());
+  buf[s.size()] = '\0';
+  char* end = nullptr;
+  out = std::strtod(buf, &end);
+  return end == buf + s.size();
+}
+
+TEST(ParseDoubleField, MatchesBoundedStrtodBitForBit) {
+  // Random bit patterns cover every exponent, subnormals, infinities and
+  // NaNs; each is rendered shortest, as %.10g (what the CSV writer emits)
+  // and as %.17g, and both parsers must agree on the verdict and the bits.
+  std::mt19937_64 rng(20131121);
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  char text[64];
+  auto check = [&](std::string_view s) {
+    double want = 0.0;
+    double got = 0.0;
+    const bool want_ok = reference_parse(s, want);
+    const bool got_ok = parse_double_field(s, got);
+    ++checked;
+    const bool same_bits = std::bit_cast<std::uint64_t>(want) ==
+                           std::bit_cast<std::uint64_t>(got);
+    if (want_ok != got_ok || (want_ok && !same_bits)) {
+      if (++mismatches <= 10) ADD_FAILURE() << "mismatch on '" << s << "'";
+    }
+  };
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    const auto [end, ec] = std::to_chars(text, text + sizeof(text), v);
+    ASSERT_EQ(ec, std::errc{});
+    check(std::string_view(text, static_cast<std::size_t>(end - text)));
+    check(std::string_view(
+        text, static_cast<std::size_t>(
+                  std::snprintf(text, sizeof(text), "%.10g", v))));
+    check(std::string_view(
+        text, static_cast<std::size_t>(
+                  std::snprintf(text, sizeof(text), "%.17g", v))));
+  }
+  for (const char* s : {"+1.5", " 1.5", "0x1p3", "1e400", "-1e400", "4.9e-324",
+                        "1e-400", "nan", "-inf", "infinity", "nan(1)", "1.",
+                        ".5", "-0", "1e", "", "1 ", "--1", "0x", "1e+", "e5"}) {
+    check(s);
+  }
+  // Valid decimals one byte under the length cap and at it: the cap holds
+  // even where from_chars alone would read the field.
+  check("0." + std::string(kMaxNumericField - 4, '0') + "5");
+  check("0." + std::string(kMaxNumericField - 3, '0') + "5");
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(checked, 3'000'023u);
+}
+
+TEST(SplitFields, CountsAndCapsFields) {
+  std::array<std::string_view, 3> f;
+  EXPECT_EQ(split_fields("a,b,c", f), 3u);
+  EXPECT_EQ(f[2], "c");
+  EXPECT_EQ(split_fields("a,,", f), 3u);
+  EXPECT_EQ(f[1], "");
+  EXPECT_EQ(split_fields("a,b,c,d", f), 4u);  // one too many reads as N + 1
+  EXPECT_EQ(split_fields("", f), 1u);
+  EXPECT_EQ(split_fields("x\ty", f, '\t'), 2u);
+  EXPECT_EQ(f[1], "y");
 }
 
 }  // namespace
