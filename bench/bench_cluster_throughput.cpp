@@ -125,7 +125,7 @@ Run run_best(F&& once, int reps) {
   Run best = once();
   for (int i = 1; i < reps; ++i) {
     Run r = once();
-    if (r.loadgen.events_per_sec > best.loadgen.events_per_sec) {
+    if (r.loadgen.send_events_per_sec > best.loadgen.send_events_per_sec) {
       best = std::move(r);
     }
   }
@@ -138,8 +138,8 @@ void print_json(const char* mode, const Run& r, unsigned cores) {
             << "\",\"cores\":" << cores
             << ",\"events_sent\":" << s.events_sent
             << ",\"send_seconds\":" << std::setprecision(6) << s.send_seconds
-            << ",\"events_per_sec\":" << std::setprecision(8)
-            << s.events_per_sec << "}\n";
+            << ",\"send_events_per_sec\":" << std::setprecision(8)
+            << s.send_events_per_sec << "}\n";
 }
 
 bool partitions_equal(const match::Partition& a, const match::Partition& b) {
@@ -197,8 +197,8 @@ int main() {
   // real cores behind the backends — on a 1-2 core container every
   // process shares one CPU and the comparison measures scheduling, not
   // the architecture. The JSON (with the core count) is the record.
-  const double speedup =
-      clustered.loadgen.events_per_sec / single.loadgen.events_per_sec;
+  const double speedup = clustered.loadgen.send_events_per_sec /
+                         single.loadgen.send_events_per_sec;
   std::cout << "cluster/single speedup: " << std::setprecision(4) << speedup
             << "x (bar: 2x, needs >= ~5 cores to be representative)\n";
   if (speedup < 2.0) {

@@ -98,7 +98,7 @@ Run run_best(const std::vector<stream::Event>& events,
   for (int i = 1; i < reps; ++i) {
     Run r = run_once(events, model_path, expected_means);
     r.scores_ok = r.scores_ok && best.scores_ok;
-    if (r.loadgen.events_per_sec > best.loadgen.events_per_sec) {
+    if (r.loadgen.send_events_per_sec > best.loadgen.send_events_per_sec) {
       best = std::move(r);
     } else {
       best.scores_ok = r.scores_ok;
@@ -113,8 +113,8 @@ void print_throughput_json(const Run& r, bool model_on, unsigned cores) {
             << (model_on ? "on" : "off")
             << "\",\"connections\":16,\"reactors\":2,\"cores\":" << cores
             << ",\"events_sent\":" << s.events_sent
-            << ",\"events_per_sec\":" << std::setprecision(8)
-            << s.events_per_sec << "}\n";
+            << ",\"send_events_per_sec\":" << std::setprecision(8)
+            << s.send_events_per_sec << "}\n";
 }
 
 /// Per-archetype flag tallies for one scoring path.
@@ -168,8 +168,9 @@ int main() {
   print_throughput_json(on, true, cores);
 
   const double overhead =
-      off.loadgen.events_per_sec > 0.0
-          ? 1.0 - on.loadgen.events_per_sec / off.loadgen.events_per_sec
+      off.loadgen.send_events_per_sec > 0.0
+          ? 1.0 - on.loadgen.send_events_per_sec /
+                      off.loadgen.send_events_per_sec
           : 1.0;
   std::cout << "{\"bench\":\"score_throughput\",\"overhead_frac\":"
             << std::setprecision(4) << overhead << ",\"bar\":0.10}\n";

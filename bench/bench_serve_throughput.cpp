@@ -81,7 +81,7 @@ Run run_best(const std::vector<stream::Event>& events,
   Run best = run_once(events, connections, reactors, binary);
   for (int i = 1; i < reps; ++i) {
     Run r = run_once(events, connections, reactors, binary);
-    if (r.loadgen.events_per_sec > best.loadgen.events_per_sec) {
+    if (r.loadgen.send_events_per_sec > best.loadgen.send_events_per_sec) {
       best = std::move(r);
     }
   }
@@ -98,8 +98,8 @@ void print_json(const Run& r, unsigned cores) {
             << ",\"bytes_sent\":" << s.bytes_sent
             << ",\"send_seconds\":" << std::setprecision(6) << s.send_seconds
             << ",\"summary_latency_s\":" << s.summary_latency_s
-            << ",\"events_per_sec\":" << std::setprecision(8)
-            << s.events_per_sec << ",\"encode_events_per_sec\":"
+            << ",\"send_events_per_sec\":" << std::setprecision(8)
+            << s.send_events_per_sec << ",\"encode_events_per_sec\":"
             << s.encode_events_per_sec << "}\n";
 }
 
@@ -159,7 +159,7 @@ int main() {
                     << " connections=" << connections
                     << " reactors=" << reactors << "\n";
         }
-        const double rate = r.loadgen.events_per_sec;
+        const double rate = r.loadgen.send_events_per_sec;
         if (!binary) {
           // The reactor-scaling bars keep their original text baseline.
           if (reactors == 1 && rate > best_r1) best_r1 = rate;

@@ -319,9 +319,29 @@ void Router::start() {
   started_ = true;
 }
 
-std::uint64_t Router::covered_count(trace::UserId user) const {
-  const auto it = covered_.find(user);
-  return it == covered_.end() ? 0 : it->second;
+std::optional<std::size_t> Router::admit(trace::UserId user) {
+  const std::uint64_t arrived = ++arrived_[user];
+  const auto covered = covered_.find(user);
+  if (covered != covered_.end() && arrived <= covered->second) {
+    // Epoch-covered prefix of a full re-send after a rebalance: the
+    // owning backend already applied it. This skip is what keeps healthy
+    // backends from double-applying while a replaced one catches up.
+    ++stats_.records_replayed;
+    if (metrics_) metrics_->rec_replayed->inc();
+    return std::nullopt;
+  }
+  ++sent_[user];
+  return ring_.owner_index(user);
+}
+
+void Router::forwarded(std::size_t owner, std::uint64_t records) {
+  stats_.records_forwarded += records;
+  if (metrics_) {
+    metrics_->rec_forwarded->inc(records);
+    metrics_->fwd_records[owner]->inc(records);
+  }
+  Forwarder& f = *forwarders_[owner];
+  if (f.buffered() >= kFlushChunkBytes) f.flush();
 }
 
 void Router::on_line(std::string_view text, bool truncated) {
@@ -335,58 +355,30 @@ void Router::on_line(std::string_view text, bool truncated) {
     quarantine_->record_raw(text, stream::QuarantineReason::kMalformedLine);
     return;
   }
-  const std::uint64_t arrived = ++arrived_[*user];
-  if (arrived <= covered_count(*user)) {
-    // Epoch-covered prefix of a full re-send after a rebalance: the
-    // owning backend already applied it. This skip is what keeps healthy
-    // backends from double-applying while a replaced one catches up.
-    ++stats_.records_replayed;
-    if (metrics_) metrics_->rec_replayed->inc();
-    return;
-  }
-  const std::size_t owner = ring_.owner_index(*user);
-  Forwarder& f = *forwarders_[owner];
+  const std::optional<std::size_t> owner = admit(*user);
+  if (!owner) return;
   // enqueue() cannot lose the record: a not-up owner spools it (bounded
   // by the backpressure check in run()) until recovery settles replay.
-  f.enqueue(text);
-  ++sent_[*user];
-  ++stats_.records_forwarded;
-  if (metrics_) {
-    metrics_->rec_forwarded->inc();
-    metrics_->fwd_records[owner]->inc();
-  }
-  if (f.buffered() >= kFlushChunkBytes) f.flush();
+  forwarders_[*owner]->enqueue(text);
+  forwarded(*owner, 1);
 }
 
 void Router::on_frame(serve::BinaryFrameDecoder::Frame& frame) {
-  // Same per-record epoch discipline as the text path — the frame is just
-  // a denser envelope. Events that survive the replay skip are bucketed
-  // by ring owner; each touched backend then gets exactly one re-encoded
-  // sub-frame on its binary channel.
+  // Same per-record admission as the text path — the frame is just a
+  // denser envelope. Admitted events are bucketed by ring owner; each
+  // touched backend then gets exactly one re-encoded sub-frame on its
+  // binary channel.
   for (auto& bucket : route_scratch_) bucket.clear();
   for (const stream::Event& e : frame.events) {
-    const std::uint64_t arrived = ++arrived_[e.user];
-    if (arrived <= covered_count(e.user)) {
-      ++stats_.records_replayed;
-      if (metrics_) metrics_->rec_replayed->inc();
-      continue;
-    }
-    route_scratch_[ring_.owner_index(e.user)].push_back(e);
+    if (const auto owner = admit(e.user)) route_scratch_[*owner].push_back(e);
   }
   for (std::size_t owner = 0; owner < route_scratch_.size(); ++owner) {
     const std::vector<stream::Event>& bucket = route_scratch_[owner];
     if (bucket.empty()) continue;
     frame_scratch_.clear();
     serve::append_binary_frame(frame_scratch_, bucket);
-    Forwarder& f = *forwarders_[owner];
-    f.enqueue_frame(frame_scratch_, bucket.size());
-    for (const stream::Event& e : bucket) ++sent_[e.user];
-    stats_.records_forwarded += bucket.size();
-    if (metrics_) {
-      metrics_->rec_forwarded->inc(bucket.size());
-      metrics_->fwd_records[owner]->inc(bucket.size());
-    }
-    if (f.buffered() >= kFlushChunkBytes) f.flush();
+    forwarders_[owner]->enqueue_frame(frame_scratch_, bucket.size());
+    forwarded(owner, bucket.size());
   }
 }
 

@@ -257,7 +257,13 @@ class Router final : private serve::ConnHandler {
   /// Ring indices of every backend, for a fan-out to the whole cluster.
   [[nodiscard]] std::vector<std::size_t> all_backends() const;
 
-  [[nodiscard]] std::uint64_t covered_count(trace::UserId user) const;
+  /// The admission step both ingest formats share: counts the record's
+  /// arrival this epoch and skips it as replayed when the owner already
+  /// applied it; otherwise counts it as sent and returns its ring owner.
+  [[nodiscard]] std::optional<std::size_t> admit(trace::UserId user);
+  /// Counts `records` forwarded to `owner`, then flushes its buffer once a
+  /// chunk has queued up.
+  void forwarded(std::size_t owner, std::uint64_t records);
 
   // Control-plane handlers: each backend call is one fan_out, which
   // blocks the loop for at most one deadline.

@@ -269,7 +269,7 @@ LoadgenStats run_loadgen(std::span<const stream::Event> events,
     if (r.retry_exhausted) stats.retry_exhausted = true;
   }
   if (stats.send_seconds > 0.0) {
-    stats.events_per_sec =
+    stats.send_events_per_sec =
         static_cast<double>(stats.events_sent) / stats.send_seconds;
   }
   if (encode_seconds > 0.0) {
@@ -313,8 +313,8 @@ std::string to_json(const LoadgenStats& stats) {
   out += std::to_string(stats.bytes_sent);
   out += ",\"send_seconds\":";
   append_json_number(out, stats.send_seconds);
-  out += ",\"events_per_sec\":";
-  append_json_number(out, stats.events_per_sec);
+  out += ",\"send_events_per_sec\":";
+  append_json_number(out, stats.send_events_per_sec);
   out += ",\"encode_events_per_sec\":";
   append_json_number(out, stats.encode_events_per_sec);
   out += ",\"failed_connections\":";

@@ -59,7 +59,10 @@ struct LoadgenStats {
   std::uint64_t events_sent = 0;
   std::uint64_t bytes_sent = 0;
   double send_seconds = 0.0;  ///< first send to last connection closed
-  double events_per_sec = 0.0;
+  /// events_sent / send_seconds: timed to the last socket write, not to a
+  /// drain, so it says how fast the client wrote, not how fast the daemon
+  /// applied the records (e2e_bench measures that).
+  double send_events_per_sec = 0.0;
   /// Client-side serialization throughput (events per second spent in
   /// encode calls, summed across connections, socket time excluded) —
   /// the format A/B's sender-cost axis.

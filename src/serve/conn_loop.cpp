@@ -118,6 +118,7 @@ void ConnLoop::handle_ingest_eof(Conn& c) {
     }
   } else if (const auto fragment = c.decoder.finish()) {
     handler_.on_line(fragment->text, true);
+    handler_.on_read_end();
   }
   c.dead = true;
 }
@@ -182,10 +183,13 @@ void ConnLoop::handle_read(Conn& c) {
       }
     } else {
       c.decoder.feed(chunk);
-      while (auto line = c.decoder.next()) {
+      while (!stopped()) {
+        const auto line = c.decoder.next();
+        if (!line) break;
         handler_.on_line(line->text, line->truncated);
-        if (stopped()) return;
       }
+      // Also when stopped mid-read: the lines handed over so far apply.
+      handler_.on_read_end();
     }
   }
 }

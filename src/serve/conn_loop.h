@@ -65,8 +65,13 @@ class ConnHandler {
   virtual ~ConnHandler() = default;
   /// One ingest text line (without its newline). `truncated` lines — over
   /// the line cap, or the unterminated tail of a connection that hit EOF
-  /// or the idle sweep — must be dead-lettered, never parsed.
+  /// or the idle sweep — must be dead-lettered, never parsed. The handler
+  /// may hold good lines back and apply them together at on_read_end().
   virtual void on_line(std::string_view text, bool truncated) = 0;
+  /// The text lines of one read (or the EOF / idle-sweep fragment) have
+  /// all been handed to on_line. Called before the loop touches any other
+  /// connection, so whatever on_line held back never outlives the read.
+  virtual void on_read_end() {}
   virtual void on_frame(BinaryFrameDecoder::Frame& frame) = 0;
   /// A rejected binary frame, or the incomplete tail of one.
   virtual void on_frame_error(const FrameError& error) = 0;

@@ -104,9 +104,12 @@ struct Server::Reactor final : ConnHandler {
   std::size_t index = 0;
   ConnLoop loop;
   stream::StreamEngine::Producer producer;
-  /// Reusable per-frame scratch: the non-replayed slice of a decoded
-  /// binary frame, handed to the engine in one stage_batch call.
-  std::vector<stream::Event> frame_scratch;
+  /// The well-formed records of the text read being handled, applied as
+  /// one batch when the read ends (on_read_end).
+  std::vector<stream::Event> text_batch;
+  /// Reusable scratch: the non-replayed slice of a batch, handed to the
+  /// engine in one stage_batch call.
+  std::vector<stream::Event> fresh;
 
   obs::Counter* m_events = nullptr;       ///< serve_reactor_events_total
   obs::Counter* m_stalls = nullptr;       ///< serve_reactor_stalls_total
@@ -124,6 +127,10 @@ struct Server::Reactor final : ConnHandler {
 
   void on_line(std::string_view text, bool truncated) override {
     server.process_ingest_line(*this, text, truncated);
+  }
+  void on_read_end() override {
+    server.apply_batch(*this, text_batch);
+    text_batch.clear();
   }
   void on_frame(BinaryFrameDecoder::Frame& frame) override {
     server.process_ingest_frame(*this, frame);
@@ -374,65 +381,50 @@ void Server::process_ingest_line(Reactor& r, std::string_view text,
     quarantine_->record_raw(text, stream::QuarantineReason::kMalformedLine);
     return;
   }
-  const stream::Event& e = std::get<stream::Event>(result);
-  const std::uint64_t parsed =
-      records_parsed_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (r.m_events != nullptr) r.m_events->inc();
-  const std::uint64_t arrived = arrive(e.user);
-  if (arrived <= resumed_count(e.user)) {
-    // Checkpoint-covered prefix re-sent after a resume: the engine state
-    // already includes it. Skipping here is what turns the clients'
-    // at-least-once redelivery into exactly-once application.
-    records_replayed_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_) metrics_->records_replayed->inc();
-  } else {
-    // push() may block on engine backpressure — that is the design: TCP
-    // receive buffers fill and the feed slows to what the shards sustain.
-    if (r.producer.push(e)) routed_.fetch_add(1, std::memory_order_relaxed);
-    cursor_.fetch_add(1, std::memory_order_relaxed);
-    records_since_checkpoint_.fetch_add(1, std::memory_order_relaxed);
-    records_applied_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_) metrics_->records_applied->inc();
-  }
+  r.text_batch.push_back(std::get<stream::Event>(result));
+  // The crash hook lands exactly on its record: the loop stops reading at
+  // once, and the read's batch applies up to and including this line.
   if (config_.crash_after_records != 0 &&
-      parsed >= config_.crash_after_records) {
+      records_parsed_.load(std::memory_order_relaxed) + r.text_batch.size() >=
+          config_.crash_after_records) {
     crash_pending_.store(true, std::memory_order_relaxed);
   }
 }
 
 void Server::process_ingest_frame(Reactor& r,
                                   BinaryFrameDecoder::Frame& frame) {
-  const std::uint64_t count = frame.events.size();
+  if (metrics_) {
+    metrics_->wire_frames->inc();
+    metrics_->wire_batch_records->observe(frame.events.size());
+  }
+  apply_batch(r, frame.events);
+}
+
+void Server::apply_batch(Reactor& r, std::span<const stream::Event> events) {
+  if (events.empty()) return;
+  const std::uint64_t count = events.size();
   const std::uint64_t parsed =
       records_parsed_.fetch_add(count, std::memory_order_relaxed) + count;
   if (r.m_events != nullptr) r.m_events->inc(count);
-  if (metrics_) {
-    metrics_->wire_frames->inc();
-    metrics_->wire_batch_records->observe(count);
-  }
 
-  // Coverage first, record by record (the exactly-once replay skip is
-  // per-user, per-record), then the survivors reach the engine as one
-  // columnar batch — a single stage_batch handoff per frame.
-  r.frame_scratch.clear();
-  std::uint64_t replayed = 0;
-  for (const stream::Event& e : frame.events) {
-    if (arrive(e.user) <= resumed_count(e.user)) {
-      ++replayed;
-    } else {
-      r.frame_scratch.push_back(e);
-    }
+  // Coverage first, record by record: checkpoint-covered records re-sent
+  // after a resume are skipped, because the engine state already includes
+  // them. That skip turns the clients' at-least-once redelivery into
+  // exactly-once application.
+  r.fresh.clear();
+  for (const stream::Event& e : events) {
+    if (arrive(e.user) > resumed_count(e.user)) r.fresh.push_back(e);
   }
-  if (replayed > 0) {
-    records_replayed_.fetch_add(replayed, std::memory_order_relaxed);
-    if (metrics_) metrics_->records_replayed->inc(replayed);
+  const std::uint64_t applied = r.fresh.size();
+  if (applied < count) {
+    records_replayed_.fetch_add(count - applied, std::memory_order_relaxed);
+    if (metrics_) metrics_->records_replayed->inc(count - applied);
   }
-  if (!r.frame_scratch.empty()) {
-    const std::uint64_t applied = r.frame_scratch.size();
-    // stage_batch may block on engine backpressure, exactly like push():
+  if (applied > 0) {
+    // stage_batch may block on engine backpressure — that is the design:
     // TCP receive buffers fill and the feed slows to what the shards
     // sustain.
-    routed_.fetch_add(r.producer.stage_batch(r.frame_scratch),
+    routed_.fetch_add(r.producer.stage_batch(r.fresh),
                       std::memory_order_relaxed);
     cursor_.fetch_add(applied, std::memory_order_relaxed);
     records_since_checkpoint_.fetch_add(applied, std::memory_order_relaxed);

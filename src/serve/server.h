@@ -57,6 +57,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -183,8 +184,9 @@ class Server {
   struct Reactor;
   struct Metrics;
 
-  /// Striped per-user accepted-record counts: reactors touch one stripe
-  /// mutex per record, checkpoints snapshot all stripes.
+  /// Striped per-user accepted-record counts: apply_batch takes one
+  /// stripe mutex per record of its batch, checkpoints snapshot all
+  /// stripes.
   struct CoverageStripe {
     std::mutex mu;
     std::unordered_map<trace::UserId, std::uint64_t> counts;
@@ -198,10 +200,15 @@ class Server {
   std::filesystem::path write_checkpoint_now();
   void reactor_loop(Reactor& r, const std::atomic<bool>* stop,
                     bool* stopped_out);
+  /// One text line: a good one joins the reactor's text batch, applied
+  /// when the read ends; anything else is dead-lettered at once.
   void process_ingest_line(Reactor& r, std::string_view text, bool truncated);
-  /// One decoded binary frame: per-record coverage/replay accounting, then
-  /// the surviving events reach the engine via one Producer::stage_batch.
+  /// One decoded binary frame: the frame metrics, then apply_batch.
   void process_ingest_frame(Reactor& r, BinaryFrameDecoder::Frame& frame);
+  /// The one ingest body for a text read or a binary frame: per-record
+  /// coverage/replay accounting, then the surviving events reach the
+  /// engine via one Producer::stage_batch.
+  void apply_batch(Reactor& r, std::span<const stream::Event> events);
   /// One rejected binary frame: counted under the typed reason and
   /// dead-lettered (hex-prefix detail) as `malformed_frame`.
   void process_frame_error(const FrameError& error);

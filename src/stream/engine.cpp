@@ -443,30 +443,40 @@ std::size_t StreamEngine::shard_of(trace::UserId user) const {
 }
 
 bool StreamEngine::push(const Event& e) {
-  return push_from(e, staging_, nullptr);
+  return stage(std::span<const Event>(&e, 1), staging_, nullptr) == 1;
 }
 
-bool StreamEngine::push_from(const Event& e,
-                             std::vector<std::vector<Event>>& staging,
-                             std::uint64_t* stall_count) {
+std::size_t StreamEngine::stage(std::span<const Event> events,
+                                std::vector<std::vector<Event>>& staging,
+                                std::uint64_t* stall_count) {
   if (finished_) {
     throw std::logic_error("StreamEngine::push called after finish()");
   }
-  pushed_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.quarantine != nullptr) {
-    // Payload validation happens producer-side (no per-user history
-    // needed), so garbage never reaches the geodesic math or even a shard.
-    if (const auto reason = validate_event(e, config_.known_users)) {
-      config_.quarantine->record(e, *reason);
-      return false;
+  pushed_.fetch_add(events.size(), std::memory_order_relaxed);
+  std::size_t accepted = 0;
+  for (const Event& e : events) {
+    if (config_.quarantine != nullptr) {
+      // Payload validation happens producer-side (no per-user history
+      // needed), so garbage never reaches the geodesic math or even a
+      // shard.
+      if (const auto reason = validate_event(e, config_.known_users)) {
+        config_.quarantine->record(e, *reason);
+        continue;
+      }
+    }
+    staging[shard_of(e.user)].push_back(e);
+    ++accepted;
+  }
+  // One handoff per touched shard for the whole span — a full frame rides
+  // into a mailbox under a single lock acquisition, even when it exceeds
+  // batch_size (a mailbox batch is a vector of any length; the cap counts
+  // batches, and workers drain whole batches regardless of size).
+  for (std::size_t s = 0; s < staging.size(); ++s) {
+    if (staging[s].size() >= config_.batch_size) {
+      hand_off(s, staging[s], stall_count);
     }
   }
-  const std::size_t s = shard_of(e.user);
-  staging[s].push_back(e);
-  if (staging[s].size() >= config_.batch_size) {
-    hand_off(s, staging[s], stall_count);
-  }
-  return true;
+  return accepted;
 }
 
 void StreamEngine::hand_off(std::size_t shard_index, std::vector<Event>& staged,
@@ -503,39 +513,9 @@ StreamEngine::Producer::Producer(StreamEngine& engine) : engine_(engine) {
   for (auto& s : staging_) s.reserve(engine_.config_.batch_size);
 }
 
-bool StreamEngine::Producer::push(const Event& e) {
-  return engine_.push_from(e, staging_, &stalls_);
-}
-
 std::size_t StreamEngine::Producer::stage_batch(
     std::span<const Event> events) {
-  if (engine_.finished_) {
-    throw std::logic_error("StreamEngine::push called after finish()");
-  }
-  if (events.empty()) return 0;
-  engine_.pushed_.fetch_add(events.size(), std::memory_order_relaxed);
-  std::size_t accepted = 0;
-  for (const Event& e : events) {
-    if (engine_.config_.quarantine != nullptr) {
-      if (const auto reason =
-              validate_event(e, engine_.config_.known_users)) {
-        engine_.config_.quarantine->record(e, *reason);
-        continue;
-      }
-    }
-    staging_[engine_.shard_of(e.user)].push_back(e);
-    ++accepted;
-  }
-  // One handoff per touched shard for the whole span — a full frame rides
-  // into a mailbox under a single lock acquisition, even when it exceeds
-  // batch_size (a mailbox batch is a vector of any length; the cap counts
-  // batches, and workers drain whole batches regardless of size).
-  for (std::size_t s = 0; s < staging_.size(); ++s) {
-    if (staging_[s].size() >= engine_.config_.batch_size) {
-      engine_.hand_off(s, staging_[s], &stalls_);
-    }
-  }
-  return accepted;
+  return engine_.stage(events, staging_, &stalls_);
 }
 
 void StreamEngine::Producer::flush() {

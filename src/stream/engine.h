@@ -15,10 +15,11 @@
 // per user, which is all the incremental pipeline needs, so the final
 // partition is independent of the shard count.
 //
-// Producers: push() serves the common single-producer case. Additional
-// concurrent producer threads each take their own Producer handle (private
-// per-shard staging, handoff under the owning shard's mutex only — no
-// engine-global lock). The quiescence points (drain/finish/save_state)
+// Producers: push() serves the common single-producer case, one event at
+// a time. Concurrent producer threads each take their own Producer handle
+// and stage whole batches (private per-shard staging, handoff under the
+// owning shard's mutex only — no engine-global lock). Both go through the
+// one staging routine. The quiescence points (drain/finish/save_state)
 // still assume a single caller with every Producer flushed and parked;
 // the serve layer's reactor pause gate provides exactly that rendezvous.
 #pragma once
@@ -153,18 +154,14 @@ class StreamEngine {
     Producer(const Producer&) = delete;
     Producer& operator=(const Producer&) = delete;
 
-    /// Same contract and return value as StreamEngine::push, from this
-    /// handle's thread; blocks on the target shard's mailbox when full.
-    bool push(const Event& e);
-
-    /// Bulk push for a whole decoded batch (the serve layer's binary frame
-    /// path): validates and stages every event, then hands each touched
-    /// shard's staging to its mailbox at most once — one lock acquisition
-    /// per shard per call instead of one per `batch_size` boundary. The
-    /// observable semantics equal pushing the span element-by-element
-    /// (same order, same quarantine verdicts); only the handoff batching
-    /// differs. Returns how many events were accepted (not quarantined),
-    /// matching push()'s per-event return.
+    /// Pushes a whole batch from this handle's thread (the serve layer
+    /// hands over one text read or one binary frame per call): validates
+    /// and stages every event, then hands each touched shard's staging to
+    /// its mailbox at most once — one lock acquisition per shard per call,
+    /// blocking while that mailbox is full. The observable semantics equal
+    /// StreamEngine::push over the span element by element (same order,
+    /// same quarantine verdicts); only the handoff batching differs.
+    /// Returns how many events were accepted (not quarantined).
     std::size_t stage_batch(std::span<const Event> events);
 
     /// Hands every staged batch to its shard mailbox. Must run before any
@@ -262,11 +259,13 @@ class StreamEngine {
  private:
   struct Shard;
 
-  /// Shared push path: validate, stage into `staging`, hand off full
-  /// batches. push() passes the engine's own staging; Producer handles pass
-  /// theirs.
-  bool push_from(const Event& e, std::vector<std::vector<Event>>& staging,
-                 std::uint64_t* stall_count);
+  /// The one staging routine: validate and stage every event into
+  /// `staging`, then hand off each shard's staging that reached batch_size.
+  /// push() passes one event and the engine's own staging; Producer handles
+  /// pass their batch and theirs. Returns the events not quarantined.
+  std::size_t stage(std::span<const Event> events,
+                    std::vector<std::vector<Event>>& staging,
+                    std::uint64_t* stall_count);
 
   /// Moves one staged batch into its shard's mailbox, blocking while the
   /// mailbox is full. Takes only that shard's mutex — safe from any number

@@ -82,9 +82,6 @@ template <typename T>
 T parse_num(std::string_view s, const Where& at) {
   T value{};
   if constexpr (std::is_floating_point_v<T>) {
-    // An empty field reads as 0.0 here, as it always has; the wire and SNAP
-    // readers reject it.
-    if (s.empty()) return value;
     if (s.size() >= kMaxNumericField) fail(at, "numeric field too long");
     if (!parse_double_field(s, value)) fail(at, "bad floating-point field");
   } else if (!parse_int_field(s, value)) {

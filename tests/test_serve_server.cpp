@@ -13,6 +13,7 @@
 #include <string_view>
 #include <thread>
 #include <variant>
+#include <vector>
 
 #include "serve/net.h"
 #include "serve/server.h"
@@ -363,6 +364,128 @@ TEST(ServeServer, StopFlagCheckpointsAndResumeSkipsReplayedRecords) {
   EXPECT_EQ(after.extraneous, expect.extraneous);
   EXPECT_EQ(after.missing, expect.missing);
   EXPECT_EQ(after.by_class, expect.by_class);
+}
+
+void expect_partition_eq(const match::Partition& a,
+                         const match::Partition& b) {
+  EXPECT_EQ(a.checkins, b.checkins);
+  EXPECT_EQ(a.visits, b.visits);
+  EXPECT_EQ(a.honest, b.honest);
+  EXPECT_EQ(a.extraneous, b.extraneous);
+  EXPECT_EQ(a.missing, b.missing);
+  EXPECT_EQ(a.by_class, b.by_class);
+}
+
+TEST(ServeServer, TextReadAppliesLikeOneBinaryFrame) {
+  // One write, so the server sees it as one read: its well-formed lines
+  // reach the engine as one batch, through the same body as a frame.
+  const std::vector<std::string_view> good{
+      "checkin,7,1000,1,Food,37.0,-122.0",
+      "gps,9,1000,37.0,-122.0,1,0,0.0",
+      "checkin,7,5000,2,Nightlife,37.0,-122.0",
+      "gps,9,1500,37.0,-122.0,1,0,0.0",
+  };
+  std::string text;
+  text += std::string(good[0]) + "\n";
+  text += std::string(good[1]) + "\n";
+  text += "this is not a record\n";        // malformed
+  text += "\n";                            // blank keepalive
+  text += std::string(good[2]) + "\r\n";  // CRLF
+  text += std::string(good[3]) + "\n";
+  text += "checkin,7,9000,3,Food,37.0,-1";  // unterminated tail, then EOF
+
+  std::vector<stream::Event> events;
+  for (const std::string_view line : good) {
+    events.push_back(std::get<stream::Event>(parse_wire_record(line)));
+  }
+  // The binary twin of the same input: the good records as one frame, a
+  // corrupted frame and a frame cut by the disconnect.
+  std::string wire;
+  append_binary_frame(wire, events);
+  std::string corrupted;
+  append_binary_frame(corrupted, {&events[0], 1});
+  corrupted[20] = static_cast<char>(
+      static_cast<unsigned char>(corrupted[20]) ^ 0x10);  // CRC mismatch
+  std::string cut;
+  append_binary_frame(cut, {&events[1], 1});
+  wire += corrupted + cut.substr(0, 20);
+
+  ServeStats stats[2];
+  match::Partition partition[2];
+  for (const int binary : {0, 1}) {
+    ServeConfig config;
+    config.metrics = false;
+    config.engine.shards = 2;
+    TestServer ts(std::move(config));
+    {
+      Fd c = tcp_connect("127.0.0.1", ts.server.ingest_port());
+      ASSERT_TRUE(send_all(c.get(), binary ? wire : text));
+    }
+    EXPECT_EQ(ts.drain_and_join().status, 200);
+    stats[binary] = ts.stats;
+    partition[binary] = ts.server.engine().partition();
+  }
+  EXPECT_EQ(stats[0].records_parsed, 4u);
+  EXPECT_EQ(stats[0].records_applied, 4u);
+  EXPECT_EQ(stats[0].records_malformed, 2u);
+  EXPECT_EQ(stats[0].cursor, 4u);
+  EXPECT_EQ(stats[1].records_parsed, stats[0].records_parsed);
+  EXPECT_EQ(stats[1].records_applied, stats[0].records_applied);
+  EXPECT_EQ(stats[1].records_malformed, stats[0].records_malformed);
+  EXPECT_EQ(stats[1].cursor, stats[0].cursor);
+  EXPECT_EQ(partition[0].checkins, 2u);
+  expect_partition_eq(partition[1], partition[0]);
+}
+
+TEST(ServeServer, ResumeSkipsTheCoveredPrefixInsideOneRead) {
+  const fs::path dir = fresh_dir("serve_resume_one_read");
+  const std::string covered =
+      "checkin,3,1000,1,Food,37.0,-122.0\n"
+      "checkin,3,5000,2,Shop,37.1,-122.1\n"
+      "checkin,4,2000,3,Arts,37.2,-122.2\n";
+  const std::string fresh =
+      "checkin,4,6000,1,Food,37.0,-122.0\n"
+      "checkin,3,9000,3,Arts,37.2,-122.2\n";
+
+  ServeConfig config;
+  config.metrics = false;
+  config.checkpoint_dir = dir;
+  TestServer first(std::move(config));
+  {
+    Fd c = tcp_connect("127.0.0.1", first.server.ingest_port());
+    ASSERT_TRUE(send_all(c.get(), covered));
+  }
+  (void)get_until(first.server.http_port(), "/v1/users/4/verdicts",
+                  [](const HttpResponse& r) { return r.status == 200; });
+  first.stop_and_join();
+  ASSERT_EQ(first.stats.cursor, 3u);
+
+  // One read holds the whole re-sent trace, the covered prefix of both
+  // users interleaved with their new records.
+  ServeConfig resumed;
+  resumed.metrics = false;
+  resumed.checkpoint_dir = dir;
+  resumed.resume = true;
+  TestServer second(std::move(resumed));
+  {
+    Fd c = tcp_connect("127.0.0.1", second.server.ingest_port());
+    ASSERT_TRUE(send_all(c.get(), covered + fresh));
+  }
+  EXPECT_EQ(second.drain_and_join().status, 200);
+  EXPECT_EQ(second.stats.records_parsed, 5u);
+  EXPECT_EQ(second.stats.records_replayed, 3u);
+  EXPECT_EQ(second.stats.records_applied, 2u);
+  EXPECT_EQ(second.stats.cursor, 5u);
+
+  stream::StreamEngine reference{stream::StreamEngineConfig{}};
+  LineDecoder lines;
+  lines.feed(covered + fresh);
+  while (const auto line = lines.next()) {
+    reference.push(std::get<stream::Event>(parse_wire_record(line->text)));
+  }
+  reference.finish();
+  expect_partition_eq(second.server.engine().partition(),
+                      reference.partition());
 }
 
 TEST(ServeServer, CrashHookExitsWithoutFinalCheckpoint) {

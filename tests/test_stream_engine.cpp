@@ -221,7 +221,7 @@ TEST(StreamEngine, ConcurrentProducersMatchBatchPartition) {
     threads.emplace_back([&engine, &slices, &stalls, i] {
       StreamEngine::Producer producer(engine);
       for (const Event& e : slices[i]) {
-        EXPECT_TRUE(producer.push(e));
+        EXPECT_EQ(producer.stage_batch({&e, 1}), 1u);
       }
       producer.flush();
       stalls[i] = producer.stalls();
@@ -248,7 +248,8 @@ TEST(StreamEngine, ProducerFlushDeliversStagedTail) {
   p.position = kVenue;
   for (int i = 0; i < 3; ++i) {
     p.t = trace::minutes(i);
-    EXPECT_TRUE(producer.push(Event::gps_sample(11, p)));
+    const Event e = Event::gps_sample(11, p);
+    EXPECT_EQ(producer.stage_batch({&e, 1}), 1u);
   }
   producer.flush();
   engine.finish();

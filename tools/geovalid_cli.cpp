@@ -209,15 +209,30 @@ int usage() {
   return kExitUsage;
 }
 
+/// A bad flag value: main prints the message plus the usage text and
+/// exits 2 (distinct from runtime failures, which exit 1).
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Floating-point flags read the whole argument with the one numeric
+/// grammar of the text formats (trace/csv.h): "5k", "50m" or "1s" are
+/// usage errors, not 5, 50 and 1.
 std::optional<double> flag_value(int argc, char** argv, const char* name) {
   for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
+    if (std::strcmp(argv[i], name) != 0) continue;
+    double v = 0.0;
+    if (!trace::parse_double_field(argv[i + 1], v)) {
+      throw UsageError(std::string(name) + " expects a number, got '" +
+                       argv[i + 1] + "'");
+    }
+    return v;
   }
   return std::nullopt;
 }
 
 /// Integer flags (--seed, --max-users, --shards) must not go through
-/// std::atof: doubles silently lose precision above 2^53, which corrupts
+/// a double: doubles silently lose precision above 2^53, which corrupts
 /// large 64-bit seeds. Parses the full argument as an unsigned integer and
 /// rejects trailing junk.
 std::optional<std::uint64_t> int_flag_value(int argc, char** argv,
@@ -252,12 +267,6 @@ std::optional<std::string> string_flag_value(int argc, char** argv,
   }
   return std::nullopt;
 }
-
-/// A bad flag value: main prints the message plus the usage text and
-/// exits 2 (distinct from runtime failures, which exit 1).
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
 
 /// --threads N (0 = all hardware threads). Every subcommand accepts and
 /// validates it, even the ones with no parallel stage. strtoull alone is
@@ -311,14 +320,16 @@ std::size_t reactors_flag(int argc, char** argv) {
 }
 
 /// Flags like --rate and --snapshot-interval: present means a positive
-/// finite number, anything else (0, negatives, junk that atof maps to 0)
-/// is a usage error instead of a silently-unthrottled or spinning replay.
+/// number, anything else (0, negatives, NaN, junk) is a usage error
+/// instead of a silently-unthrottled or spinning replay.
 std::optional<double> positive_flag_value(int argc, char** argv,
                                           const char* name) {
-  const auto v = flag_value(argc, argv, name);
-  if (v && !(*v > 0.0)) {
-    throw UsageError(std::string(name) + " must be positive, got '" +
-                     *string_flag_value(argc, argv, name) + "'");
+  const auto raw = string_flag_value(argc, argv, name);
+  if (!raw) return std::nullopt;
+  double v = 0.0;
+  if (!trace::parse_double_field(*raw, v) || !(v > 0.0)) {
+    throw UsageError(std::string(name) + " must be positive, got '" + *raw +
+                     "'");
   }
   return v;
 }
@@ -905,12 +916,10 @@ int cmd_route(int argc, char** argv) {
     if (*spool == 0) throw UsageError("--spool-bytes must be positive");
     cfg.spool_bytes = static_cast<std::size_t>(*spool);
   }
-  if (const auto s = flag_value(argc, argv, "--probe-interval")) {
-    if (*s <= 0) throw UsageError("--probe-interval must be positive");
+  if (const auto s = positive_flag_value(argc, argv, "--probe-interval")) {
     cfg.probe_interval_s = *s;
   }
-  if (const auto s = flag_value(argc, argv, "--probe-timeout")) {
-    if (*s <= 0) throw UsageError("--probe-timeout must be positive");
+  if (const auto s = positive_flag_value(argc, argv, "--probe-timeout")) {
     cfg.probe_timeout_s = *s;
   }
   if (const auto n = int_flag_value(argc, argv, "--probe-down-after")) {
@@ -930,8 +939,7 @@ int cmd_route(int argc, char** argv) {
     }
     cfg.reconnect_backoff_cap_ms = static_cast<std::uint32_t>(*ms);
   }
-  if (const auto s = flag_value(argc, argv, "--fanout-deadline-s")) {
-    if (*s <= 0) throw UsageError("--fanout-deadline-s must be positive");
+  if (const auto s = positive_flag_value(argc, argv, "--fanout-deadline-s")) {
     cfg.fanout_deadline_s = *s;
   }
   if (const auto spec =

@@ -10,12 +10,15 @@
 //
 // Events are partitioned by `user % connections` so each user's records
 // arrive in trace order over one connection — the ordering the engine's
-// verdicts depend on. --format binary replays columnar frames instead of
-// text lines (docs/SERVICE.md wire protocol); the JSON reports the
-// format used plus encode_events_per_sec, the client-side serialization
-// throughput. With --http-port the control plane is probed after
-// the replay: /healthz, /metrics (status + content type), and a timed
-// /v1/summary whose body is embedded in the output verbatim.
+// verdicts depend on. send_events_per_sec in the JSON is timed to the
+// last socket write, not to a drain: it is how fast this client wrote,
+// not how fast the daemon applied the records (e2e_bench/ measures
+// that). --format binary replays columnar frames instead of text lines
+// (docs/SERVICE.md wire protocol); the JSON reports the format used plus
+// encode_events_per_sec, the client-side serialization throughput. With
+// --http-port the control plane is probed after the replay: /healthz,
+// /metrics (status + content type), and a timed /v1/summary whose body
+// is embedded in the output verbatim.
 //
 // --probe-suspects (requires --http-port) additionally hits the scoring
 // control plane while the replay runs: periodic GET /v1/suspects?k=5 plus
@@ -131,8 +134,10 @@ int main(int argc, char** argv) {
       cfg.connections = static_cast<std::size_t>(*conns);
     }
     if (const auto rate = string_flag_value(argc - 2, argv + 2, "--rate")) {
-      cfg.rate_events_per_sec = std::atof(rate->c_str());
-      if (!(cfg.rate_events_per_sec > 0.0)) {
+      // The whole argument, in the text formats' numeric grammar: "5k" is
+      // a usage error, not 5.
+      if (!trace::parse_double_field(*rate, cfg.rate_events_per_sec) ||
+          !(cfg.rate_events_per_sec > 0.0)) {
         std::cerr << "error: --rate must be positive\n";
         return usage();
       }
