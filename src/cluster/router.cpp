@@ -155,6 +155,7 @@ struct Router::Metrics {
   obs::Counter* rec_replayed = nullptr;
   obs::Counter* rec_malformed = nullptr;
   obs::Counter* pauses = nullptr;
+  obs::Histogram* loop_ns = nullptr;
 
   obs::Counter& http_requests(const std::string& route, int status) {
     return obs::registry().counter(
@@ -276,6 +277,10 @@ void Router::register_metrics() {
       "cluster_backpressure_pauses_total",
       "Times ingest reads were suspended because a backend buffer "
       "crossed the high-water mark");
+  m.loop_ns = &r.histogram(
+      "cluster_loop_ns",
+      "One router event-loop iteration's service time after poll() "
+      "returns (nanoseconds)");
   static constexpr std::string_view kConnHelp =
       "Connections accepted by the router, by listener kind";
   loop_.metrics.accepted = {
@@ -320,9 +325,10 @@ void Router::start() {
 }
 
 std::optional<std::size_t> Router::admit(trace::UserId user) {
-  const std::uint64_t arrived = ++arrived_[user];
-  const auto covered = covered_.find(user);
-  if (covered != covered_.end() && arrived <= covered->second) {
+  const auto [it, first_seen] = epochs_.try_emplace(user);
+  UserEpoch& epoch = it->second;
+  if (first_seen) epoch.owner = ring_.owner_index(user);
+  if (++epoch.arrived <= epoch.covered) {
     // Epoch-covered prefix of a full re-send after a rebalance: the
     // owning backend already applied it. This skip is what keeps healthy
     // backends from double-applying while a replaced one catches up.
@@ -330,8 +336,8 @@ std::optional<std::size_t> Router::admit(trace::UserId user) {
     if (metrics_) metrics_->rec_replayed->inc();
     return std::nullopt;
   }
-  ++sent_[user];
-  return ring_.owner_index(user);
+  ++epoch.sent;
+  return epoch.owner;
 }
 
 void Router::forwarded(std::size_t owner, std::uint64_t records) {
@@ -660,16 +666,16 @@ std::uint64_t Router::begin_new_epoch(std::size_t index) {
   // fresh prefix and corrupt the resume skip — the exact at-least-once
   // hole the re-send protocol exists to close.
   loop_.close_ingest();
-  for (const auto& [user, sent] : sent_) covered_[user] += sent;
   std::uint64_t reset_users = 0;
-  for (auto& [user, cov] : covered_) {
-    if (ring_.owner_index(user) == index) {
-      cov = 0;
+  for (auto& [user, epoch] : epochs_) {
+    epoch.covered += epoch.sent;
+    if (epoch.owner == index) {
+      epoch.covered = 0;
       ++reset_users;
     }
+    epoch.arrived = 0;
+    epoch.sent = 0;
   }
-  sent_.clear();
-  arrived_.clear();
   return reset_users;
 }
 
@@ -1108,9 +1114,9 @@ RouteStats Router::run(const std::atomic<bool>* stop) {
       }
     }
 
-    loop_.step(drain_requested_ || paused_ ? -1 : ingest_listener_.get(),
-               http_listener_.get(), /*read_ingest=*/!paused_, extra,
-               on_extra);
+    const Clock::time_point iteration_start = loop_.step(
+        drain_requested_ || paused_ ? -1 : ingest_listener_.get(),
+        http_listener_.get(), /*read_ingest=*/!paused_, extra, on_extra);
 
     if (!drain_done_) check_health_timers(Clock::now());
 
@@ -1120,6 +1126,15 @@ RouteStats Router::run(const std::atomic<bool>* stop) {
     }
 
     update_backend_gauges();
+
+    // The iteration's service time, poll wait excluded: decode, re-frame
+    // and forward on the data plane, plus any control-plane work.
+    if (metrics_) {
+      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          Clock::now() - iteration_start)
+                          .count();
+      metrics_->loop_ns->observe(ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
+    }
   }
 
   // Teardown. The drain path already flushed and closed everything; the

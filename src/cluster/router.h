@@ -233,8 +233,9 @@ class Router final : private serve::ConnHandler {
   void on_probe_failure(std::size_t index);
 
   /// The epoch reset handle_replace pioneered, shared with instance-change
-  /// recovery: sever ingest clients, fold sent_ into covered_, zero the
-  /// covered prefix for users owned by `index`, clear per-epoch maps.
+  /// recovery: sever ingest clients, fold each user's `sent` into
+  /// `covered`, zero the covered prefix for users owned by `index`, and
+  /// clear `arrived` and `sent`, all in one pass over `epochs_`.
   /// Returns how many users' coverage was reset.
   std::uint64_t begin_new_epoch(std::size_t index);
 
@@ -303,13 +304,19 @@ class Router final : private serve::ConnHandler {
   serve::ConnLoop loop_;
   bool paused_ = false;  ///< backpressure: ingest reads suspended
 
-  /// Epoch accounting (see the header comment): `covered_` is the prefix
-  /// already applied at the owner as of the last epoch change, `sent_`
-  /// the records forwarded on top of it this epoch, `arrived_` the
-  /// records received this epoch.
-  std::unordered_map<trace::UserId, std::uint64_t> arrived_;
-  std::unordered_map<trace::UserId, std::uint64_t> covered_;
-  std::unordered_map<trace::UserId, std::uint64_t> sent_;
+  /// Epoch accounting for one user (see the header comment).
+  struct UserEpoch {
+    std::uint64_t arrived = 0;  ///< records received this epoch
+    std::uint64_t covered = 0;  ///< prefix applied at the owner as of the
+                                ///< last epoch change
+    std::uint64_t sent = 0;     ///< records forwarded on top of `covered`
+                                ///< this epoch
+    std::size_t owner = 0;      ///< ring index; the ring never changes
+                                ///< membership, so it is looked up once
+  };
+  /// Every user the router has forwarded for, in any epoch: one hash
+  /// lookup per admitted record, and no ring search after the first.
+  std::unordered_map<trace::UserId, UserEpoch> epochs_;
 
   /// Reused per-frame partition scratch: one event bucket per backend
   /// (ring order) plus the re-encode buffer — no allocation per frame

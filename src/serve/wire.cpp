@@ -4,7 +4,9 @@
 #include <array>
 #include <bit>
 #include <charconv>
+#include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "stream/snapshot_io.h"
 #include "trace/csv.h"
@@ -222,30 +224,70 @@ constexpr std::size_t kFrameTrailerBytes = 4;
 /// Hex prefix length of a rejected frame's dead-letter detail.
 constexpr std::size_t kHexDetailBytes = 32;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+/// Varint bytes an unsigned value of `bits` bits can need: seven per byte.
+constexpr std::size_t varint_max_bytes(int bits) {
+  return static_cast<std::size_t>(bits + 6) / 7;
 }
 
-void put_varint(std::string& out, std::uint64_t v) {
+using WifiFingerprint = decltype(trace::GpsPoint::wifi_fingerprint);
+static_assert(std::is_unsigned_v<trace::UserId> &&
+                  std::is_unsigned_v<trace::PoiId> &&
+                  std::is_unsigned_v<WifiFingerprint>,
+              "varint columns carry unsigned ids");
+
+/// The widest bytes one record adds to the payload, from the field types:
+/// its user varint, a full 64-bit zigzag time delta, and the wider of a
+/// GPS row (three f64 and the wifi varint) and a check-in row (POI
+/// varint, category byte, two f64). The bitmaps are counted per frame.
+constexpr std::size_t kMaxRecordBytes =
+    varint_max_bytes(std::numeric_limits<trace::UserId>::digits) +
+    varint_max_bytes(64) +
+    std::max(3 * sizeof(double) +
+                 varint_max_bytes(std::numeric_limits<WifiFingerprint>::digits),
+             varint_max_bytes(std::numeric_limits<trace::PoiId>::digits) + 1 +
+                 2 * sizeof(double));
+
+/// Upper bound on an `n`-record payload: both bitmaps at a bit per
+/// record plus every record at its widest.
+constexpr std::size_t max_payload_bytes(std::size_t n) {
+  return 2 * ((n + 7) / 8) + n * kMaxRecordBytes;
+}
+
+// Every frame the encoder can write is one the decoder accepts.
+static_assert(max_payload_bytes(kMaxFrameRecords) <= kMaxFramePayloadBytes,
+              "widest encodable frame exceeds the payload cap");
+
+// The encoder writes through a raw cursor into a buffer already sized to
+// the frame's upper bound; each put_* returns the advanced cursor.
+
+char* put_u32(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    *p++ = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+  return p;
+}
+
+char* put_varint(char* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<char>(v | 0x80));
+    *p++ = static_cast<char>(v | 0x80);
     v >>= 7;
   }
-  out.push_back(static_cast<char>(v));
+  *p++ = static_cast<char>(v);
+  return p;
 }
 
-void put_zigzag(std::string& out, std::int64_t v) {
-  put_varint(out, (static_cast<std::uint64_t>(v) << 1) ^
-                      static_cast<std::uint64_t>(v >> 63));
+char* put_zigzag(char* p, std::int64_t v) {
+  return put_varint(p, (static_cast<std::uint64_t>(v) << 1) ^
+                           static_cast<std::uint64_t>(v >> 63));
 }
 
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
+char* put_f64(char* p, double v) {
+  auto bits = std::bit_cast<std::uint64_t>(v);
+  if constexpr (std::endian::native == std::endian::big) {
+    bits = __builtin_bswap64(bits);
   }
+  std::memcpy(p, &bits, sizeof(bits));
+  return p + sizeof(bits);
 }
 
 std::uint32_t read_u32(const unsigned char* p) {
@@ -358,47 +400,48 @@ std::string_view to_string(FrameErrorKind kind) {
 void append_binary_frame(std::string& out,
                          std::span<const stream::Event> events) {
   if (events.empty() || events.size() > kMaxFrameRecords) return;
+  const std::size_t n = events.size();
 
+  // Sized once to the widest frame these records could make, filled
+  // through a cursor, then trimmed to the bytes actually written.
   const std::size_t header_at = out.size();
-  out.append(reinterpret_cast<const char*>(kFrameMagic.data()),
-             kFrameMagic.size());
-  out.push_back(static_cast<char>(kFrameVersion));
-  out.push_back('\0');  // flags
-  put_u32(out, static_cast<std::uint32_t>(events.size()));
-  put_u32(out, 0);  // payload_len, patched below
-  const std::size_t payload_at = out.size();
+  out.resize(header_at + kFrameHeaderBytes + max_payload_bytes(n) +
+             kFrameTrailerBytes);
+  char* const frame = out.data() + header_at;
+  char* const payload = frame + kFrameHeaderBytes;
+  char* p = payload;
 
   // kinds bitmap
-  for (std::size_t i = 0; i < events.size(); i += 8) {
+  for (std::size_t i = 0; i < n; i += 8) {
     unsigned byte = 0;
-    for (std::size_t j = 0; j < 8 && i + j < events.size(); ++j) {
+    for (std::size_t j = 0; j < 8 && i + j < n; ++j) {
       if (events[i + j].kind == stream::Event::Kind::kCheckin) {
         byte |= 1u << j;
       }
     }
-    out.push_back(static_cast<char>(byte));
+    *p++ = static_cast<char>(byte);
   }
-  for (const stream::Event& e : events) put_varint(out, e.user);
+  for (const stream::Event& e : events) p = put_varint(p, e.user);
   std::int64_t prev_t = 0;
   for (const stream::Event& e : events) {
     const std::int64_t t = e.time();
     // Unsigned subtraction: the delta wraps instead of overflowing, and
     // the decoder's matching unsigned addition wraps it back bit-exactly.
-    put_zigzag(out, static_cast<std::int64_t>(
-                        static_cast<std::uint64_t>(t) -
-                        static_cast<std::uint64_t>(prev_t)));
+    p = put_zigzag(p, static_cast<std::int64_t>(
+                          static_cast<std::uint64_t>(t) -
+                          static_cast<std::uint64_t>(prev_t)));
     prev_t = t;
   }
 
   // gps columns
   for (const stream::Event& e : events) {
     if (e.kind == stream::Event::Kind::kGps) {
-      put_f64(out, e.gps.position.lat_deg);
+      p = put_f64(p, e.gps.position.lat_deg);
     }
   }
   for (const stream::Event& e : events) {
     if (e.kind == stream::Event::Kind::kGps) {
-      put_f64(out, e.gps.position.lon_deg);
+      p = put_f64(p, e.gps.position.lon_deg);
     }
   }
   {
@@ -408,55 +451,55 @@ void append_binary_frame(std::string& out,
       if (e.kind != stream::Event::Kind::kGps) continue;
       if (e.gps.has_fix) byte |= 1u << (bit % 8);
       if (++bit % 8 == 0) {
-        out.push_back(static_cast<char>(byte));
+        *p++ = static_cast<char>(byte);
         byte = 0;
       }
     }
-    if (bit % 8 != 0) out.push_back(static_cast<char>(byte));
+    if (bit % 8 != 0) *p++ = static_cast<char>(byte);
   }
   for (const stream::Event& e : events) {
     if (e.kind == stream::Event::Kind::kGps) {
-      put_varint(out, e.gps.wifi_fingerprint);
+      p = put_varint(p, e.gps.wifi_fingerprint);
     }
   }
   for (const stream::Event& e : events) {
     if (e.kind == stream::Event::Kind::kGps) {
-      put_f64(out, e.gps.accel_variance);
+      p = put_f64(p, e.gps.accel_variance);
     }
   }
 
   // checkin columns
   for (const stream::Event& e : events) {
     if (e.kind == stream::Event::Kind::kCheckin) {
-      put_varint(out, e.checkin.poi);
+      p = put_varint(p, e.checkin.poi);
     }
   }
   for (const stream::Event& e : events) {
     if (e.kind == stream::Event::Kind::kCheckin) {
-      out.push_back(static_cast<char>(e.checkin.category));
+      *p++ = static_cast<char>(e.checkin.category);
     }
   }
   for (const stream::Event& e : events) {
     if (e.kind == stream::Event::Kind::kCheckin) {
-      put_f64(out, e.checkin.location.lat_deg);
+      p = put_f64(p, e.checkin.location.lat_deg);
     }
   }
   for (const stream::Event& e : events) {
     if (e.kind == stream::Event::Kind::kCheckin) {
-      put_f64(out, e.checkin.location.lon_deg);
+      p = put_f64(p, e.checkin.location.lon_deg);
     }
   }
 
-  // Patch payload_len, then seal with the CRC over version..payload.
-  const std::uint32_t payload_len =
-      static_cast<std::uint32_t>(out.size() - payload_at);
-  for (int i = 0; i < 4; ++i) {
-    out[header_at + 10 + static_cast<std::size_t>(i)] =
-        static_cast<char>((payload_len >> (8 * i)) & 0xFF);
-  }
-  const std::uint32_t crc = stream::crc32(
-      std::string_view(out).substr(header_at + 4, 10 + payload_len));
-  put_u32(out, crc);
+  // Header last, now that payload_len is known; then seal with the CRC
+  // over version..payload.
+  const auto payload_len = static_cast<std::uint32_t>(p - payload);
+  std::memcpy(frame, kFrameMagic.data(), kFrameMagic.size());
+  frame[4] = static_cast<char>(kFrameVersion);
+  frame[5] = '\0';  // flags
+  put_u32(frame + 6, static_cast<std::uint32_t>(n));
+  put_u32(frame + 10, payload_len);
+  p = put_u32(p, stream::crc32(std::string_view(frame + 4, 10 + payload_len)));
+  out.resize(static_cast<std::size_t>(p - out.data()));
 }
 
 void BinaryFrameDecoder::feed(std::string_view data) {

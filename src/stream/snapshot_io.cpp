@@ -2,20 +2,45 @@
 
 #include <array>
 #include <bit>
+#include <cstring>
 
 namespace geovalid::stream {
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected IEEE polynomial: kCrcTables[0]
+/// is the classic bytewise table, and kCrcTables[k][b] is the CRC of
+/// byte b followed by k zero bytes, so one step folds eight input bytes
+/// through eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = t[k - 1][i];
+      t[k][i] = (prev >> 8) ^ t[0][prev & 0xFF];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Eight bytes as a little-endian u64, whatever the host order.
+std::uint64_t load_le64(const char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
 }
 
 }  // namespace
@@ -35,10 +60,20 @@ std::size_t SnapshotReader::length() {
 }
 
 std::uint32_t crc32(std::string_view data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
+  const char* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const char ch : data) {
-    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint64_t w = load_le64(p) ^ c;
+    const auto lo = static_cast<std::uint32_t>(w);
+    const auto hi = static_cast<std::uint32_t>(w >> 32);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ static_cast<unsigned char>(*p)) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -151,7 +151,9 @@ class SnapshotReader {
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one) over `data`. The
 /// checkpoint container stores this over its payload so torn or bit-flipped
-/// files are rejected instead of restored.
+/// files are rejected instead of restored, and every binary wire frame
+/// carries it too. Computed eight bytes per step (slicing-by-8); the
+/// value is the classic bytewise one, so stored CRCs never change.
 [[nodiscard]] std::uint32_t crc32(std::string_view data);
 
 }  // namespace geovalid::stream

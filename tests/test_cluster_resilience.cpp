@@ -316,6 +316,149 @@ TEST(ClusterResilience, SelfHealsKillRestartResumeFourBackendsBinary) {
   run_self_heal(4, /*binary=*/true);
 }
 
+/// Polls a backend's /v1/summary until its cursor reaches `want`: the
+/// router has read and forwarded every record of a delivery meant for it.
+void await_cursor(std::uint16_t http_port, std::uint64_t want,
+                  std::chrono::seconds budget = 20s) {
+  const Clock::time_point deadline = Clock::now() + budget;
+  while (true) {
+    const serve::HttpResponse r =
+        serve::http_get("127.0.0.1", http_port, "/v1/summary");
+    const std::size_t at = r.body.find("\"cursor\":");
+    const std::uint64_t cursor =
+        at == std::string::npos ? 0 : std::stoull(r.body.substr(at + 9));
+    if (cursor >= want) {
+      EXPECT_EQ(cursor, want);
+      return;
+    }
+    if (Clock::now() > deadline) {
+      ADD_FAILURE() << "cursor stuck at " << cursor << " of " << want;
+      return;
+    }
+    std::this_thread::sleep_for(10ms);
+  }
+}
+
+/// What one replace drill leaves behind.
+struct ReplaceDrill {
+  std::vector<std::uint64_t> users_reset;  ///< one per replace, in order
+  std::uint64_t records_replayed = 0;
+  std::vector<std::uint64_t> applied;  ///< per final backend, ring order
+  std::vector<stream::UserVerdicts> verdicts;
+};
+
+/// Backends b0 and b1 take one full binary delivery; then, `replaces`
+/// times over, b1 is replaced by a fresh process and the client re-sends
+/// everything. Each delivery is fully forwarded before the next step, so
+/// the router's epoch accounting alone decides every count.
+ReplaceDrill run_replace_drill(int replaces) {
+  const std::vector<stream::Event>& events = study_events();
+  HashRing preview;
+  for (const char* name : {"b0", "b1"}) preview.add_backend(name);
+  std::uint64_t b1_share = 0;
+  for (const stream::Event& e : events) {
+    if (preview.owner_index(e.user) == 1) ++b1_share;
+  }
+
+  const auto fresh_backend = [] {
+    serve::ServeConfig sc;
+    sc.metrics = false;
+    return std::make_unique<TestBackend>(std::move(sc));
+  };
+  std::vector<std::unique_ptr<TestBackend>> backends;
+  RouteConfig rc;
+  rc.metrics = false;
+  fast_heal(rc);
+  for (std::size_t i = 0; i < 2; ++i) {
+    backends.push_back(fresh_backend());
+    BackendAddr addr;
+    addr.name = "b" + std::to_string(i);
+    addr.ingest_port = backends.back()->server.ingest_port();
+    addr.http_port = backends.back()->server.http_port();
+    rc.backends.push_back(std::move(addr));
+  }
+  Router router(std::move(rc));
+  router.start();
+  RouteStats stats;
+  std::thread loop([&] { stats = router.run(); });
+
+  serve::LoadgenConfig lg;
+  lg.port = router.ingest_port();
+  lg.connections = 2;
+  lg.binary = true;
+  EXPECT_EQ(serve::run_loadgen(events, lg).events_sent, events.size());
+  await_cursor(backends[0]->server.http_port(), events.size() - b1_share);
+  await_cursor(backends[1]->server.http_port(), b1_share);
+
+  ReplaceDrill drill;
+  for (int round = 0; round < replaces; ++round) {
+    auto replacement = fresh_backend();
+    const serve::HttpResponse swapped = serve::http_post(
+        "127.0.0.1", router.http_port(), "/admin/backends/b1",
+        "{\"ingest_port\":" +
+            std::to_string(replacement->server.ingest_port()) +
+            ",\"http_port\":" +
+            std::to_string(replacement->server.http_port()) + "}");
+    EXPECT_EQ(swapped.status, 200) << swapped.body;
+    const std::size_t at = swapped.body.find("\"users_reset\":");
+    EXPECT_NE(at, std::string::npos) << swapped.body;
+    if (at != std::string::npos) {
+      drill.users_reset.push_back(std::stoull(swapped.body.substr(at + 14)));
+    }
+    backends[1] = std::move(replacement);  // stops the replaced process
+
+    EXPECT_EQ(serve::run_loadgen(events, lg).events_sent, events.size());
+    await_cursor(backends[1]->server.http_port(), b1_share);
+  }
+
+  const serve::HttpResponse drained =
+      serve::http_post("127.0.0.1", router.http_port(), "/admin/drain");
+  loop.join();
+  for (auto& b : backends) b->join();
+  EXPECT_EQ(drained.status, 200) << drained.body;
+  EXPECT_EQ(stats.exit, RouteExit::kDrained);
+  drill.records_replayed = stats.records_replayed;
+  for (const auto& b : backends) {
+    drill.applied.push_back(b->stats.records_applied);
+  }
+  drill.verdicts = cluster_verdicts(backends);
+  return drill;
+}
+
+TEST(ClusterResilience, SecondReplaceCountsLikeASingleEpoch) {
+  // Two epoch changes back to back must account exactly like one: the
+  // second replace resets the same users (everyone the replaced backend
+  // ever owned), each re-send replays the same healthy prefix, and the
+  // backends end with the same partition, equal to batch.
+  const ReplaceDrill once = run_replace_drill(1);
+  const ReplaceDrill twice = run_replace_drill(2);
+
+  HashRing preview;
+  for (const char* name : {"b0", "b1"}) preview.add_backend(name);
+  std::vector<trace::UserId> b1_users;
+  std::uint64_t b0_share = 0;
+  for (const stream::Event& e : study_events()) {
+    if (preview.owner_index(e.user) == 1) {
+      b1_users.push_back(e.user);
+    } else {
+      ++b0_share;
+    }
+  }
+  std::sort(b1_users.begin(), b1_users.end());
+  b1_users.erase(std::unique(b1_users.begin(), b1_users.end()),
+                 b1_users.end());
+
+  ASSERT_EQ(once.users_reset.size(), 1u);
+  EXPECT_EQ(once.users_reset[0], b1_users.size());
+  EXPECT_EQ(twice.users_reset,
+            std::vector<std::uint64_t>(2, once.users_reset[0]));
+  EXPECT_EQ(once.records_replayed, b0_share);
+  EXPECT_EQ(twice.records_replayed, 2 * once.records_replayed);
+  EXPECT_EQ(twice.applied, once.applied);
+  expect_identical(once.verdicts, batch_verdicts());
+  expect_identical(twice.verdicts, once.verdicts);
+}
+
 TEST(ClusterResilience, SameInstanceSeverReplaysFromSpoolExactlyOnce) {
   // Injected network faults sever the router→backend connections
   // mid-stream while both processes stay alive: recovery must come from

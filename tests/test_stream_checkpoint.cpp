@@ -82,6 +82,43 @@ TEST(SnapshotIo, OversizedLengthThrows) {
 // queues and GPS buffers, verdict counters and per-user clocks; the
 // save -> load -> save fixed point then proves no field is dropped or
 // mutated by (de)serialization.
+TEST(Crc32, KnownAnswers) {
+  // The IEEE 802.3 check value (zlib, PNG): any table or stride change
+  // that moves it breaks every frame and checkpoint already written.
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc32(""), 0u);
+}
+
+/// One bit per step, no tables: the definition crc32 must agree with.
+std::uint32_t bitwise_crc32(std::string_view data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Every length 0..1024 at start offsets 0..7: covers the bytewise
+  // tail, the 8-byte stride and every misalignment of its loads.
+  std::string buf(1024 + 8, '\0');
+  std::uint32_t x = 0x9E3779B9u;
+  for (char& ch : buf) {
+    x = x * 1664525u + 1013904223u;
+    ch = static_cast<char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::string_view data = std::string_view(buf).substr(offset, len);
+      ASSERT_EQ(crc32(data), bitwise_crc32(data))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 TEST(Checkpoint, EngineStateSurvivesSaveLoadSaveByteIdentically) {
   const synth::GeneratedStudy study =
       synth::generate_study(synth::tiny_preset());

@@ -517,6 +517,90 @@ TEST(WireFrame, EncoderIgnoresEmptyAndOversizedBatches) {
   EXPECT_TRUE(out.empty());  // callers must split; no partial emit
 }
 
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char ch : bytes) {
+    const auto b = static_cast<unsigned char>(ch);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+/// The fixed batch behind the golden frame: nine GPS samples (one fix
+/// byte and a partial second) and two check-ins, interleaved so every
+/// column skips the other kind; a 5-byte user varint (0xFFFFFFFF), a
+/// negative time delta, 1..5-byte wifi varints and a 2-byte POI varint.
+std::vector<stream::Event> golden_batch() {
+  std::vector<stream::Event> batch;
+  const auto gps = [&](trace::UserId user, std::int64_t t, double lat,
+                       double lon, bool fix, std::uint32_t wifi,
+                       double accel) {
+    trace::GpsPoint p;
+    p.t = t;
+    p.position = {lat, lon};
+    p.has_fix = fix;
+    p.wifi_fingerprint = wifi;
+    p.accel_variance = accel;
+    batch.push_back(stream::Event::gps_sample(user, p));
+  };
+  const auto checkin = [&](trace::UserId user, std::int64_t t,
+                           trace::PoiId poi, trace::PoiCategory category,
+                           double lat, double lon) {
+    trace::Checkin c;
+    c.t = t;
+    c.poi = poi;
+    c.category = category;
+    c.location = {lat, lon};
+    batch.push_back(stream::Event::checkin_event(user, c));
+  };
+  gps(7, 1'000, 40.7128, -74.006, true, 0, 0.25);
+  checkin(0xFFFFFFFFu, 1'060, 300, trace::PoiCategory::kFood, 40.75, -73.99);
+  gps(7, 990, 40.7130, -74.0061, false, 127, 1.5);
+  gps(128, 1'200, -33.8688, 151.2093, true, 128, 0.0);
+  gps(128, 1'230, -33.8690, 151.2095, true, 0xFFFFFFFFu, -0.0);
+  gps(16'384, -5, 0.0, 0.0, false, 16'384, 3.0e-9);
+  gps(7, 1'300, 40.7131, -74.0062, true, 1, 2.0);
+  checkin(3, 1'300, 0, trace::PoiCategory::kProfessional, 51.5, -0.12);
+  gps(2'097'152, 86'400, 1.0, 2.0, true, 2'097'151, 4.0);
+  gps(7, 86'399, 40.7132, -74.0063, false, 42, 0.5);
+  gps(268'435'456, 0, -90.0, 180.0, true, 268'435'455, 1e300);
+  return batch;
+}
+
+TEST(WireFrame, GoldenFrameBytesArePinned) {
+  // The exact bytes one fixed batch encodes to: any encoder rewrite must
+  // reproduce them, because deployed peers decode this layout.
+  const std::string kGolden =
+      "b147564601000b00000044010000820007ffffffff0f07800180018080010703"
+      "80808001078080808001d00f788b01a4033ca513b21400d8b10a01fdc50a5e4b"
+      "c8073d5b444025068195435b4440e561a1d634ef40c0ac1c5a643bef40c00000"
+      "00000000000088635ddc465b4440000000000000f03fecc039234a5b44400000"
+      "0000008056c0aaf1d24d628052c05c2041f1638052c0b1e1e995b2e662406210"
+      "5839b4e6624000000000000000000e4faf94658052c00000000000000040bf7d"
+      "1d38678052c000000000008066406d01007f8001ffffffff0f80800101ffff7f"
+      "2affffff7f000000000000d03f000000000000f83f0000000000000000000000"
+      "0000000080df413adc11c5293e00000000000000400000000000001040000000"
+      "000000e03f9c7500883ce4377eac0200070000000000006044400000000000c0"
+      "49408fc2f5285c7f52c0b81e85eb51b8bebf3ef23f7f";
+  const std::vector<stream::Event> batch = golden_batch();
+  EXPECT_EQ(to_hex(encode_frame(batch)), kGolden);
+  // Appending after existing bytes leaves them alone and adds the same
+  // frame.
+  std::string out = "prefix";
+  serve::append_binary_frame(out, batch);
+  EXPECT_EQ(out.substr(0, 6), "prefix");
+  EXPECT_EQ(to_hex(std::string_view(out).substr(6)), kGolden);
+  const DrainResult decoded = drain(encode_frame(batch), nullptr);
+  ASSERT_TRUE(decoded.errors.empty());
+  ASSERT_EQ(decoded.frames.size(), 1u);
+  ASSERT_EQ(decoded.frames[0].size(), batch.size());
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    expect_event_eq(decoded.frames[0][j], batch[j]);
+  }
+}
+
 TEST(WireFrame, MalformedFrameQuarantineReasonIsWired) {
   // The dead-letter vocabulary grew by exactly one name for frames.
   EXPECT_EQ(stream::to_string(stream::QuarantineReason::kMalformedFrame),

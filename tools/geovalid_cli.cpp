@@ -233,8 +233,8 @@ std::optional<double> flag_value(int argc, char** argv, const char* name) {
 
 /// Integer flags (--seed, --max-users, --shards) must not go through
 /// a double: doubles silently lose precision above 2^53, which corrupts
-/// large 64-bit seeds. Parses the full argument as an unsigned integer and
-/// rejects trailing junk.
+/// large 64-bit seeds. Parses the full argument as an unsigned integer;
+/// trailing junk ("12x3") is a usage error, like a bad float flag.
 std::optional<std::uint64_t> int_flag_value(int argc, char** argv,
                                             const char* name) {
   for (int i = 0; i + 1 < argc; ++i) {
@@ -244,9 +244,8 @@ std::optional<std::uint64_t> int_flag_value(int argc, char** argv,
     errno = 0;
     const unsigned long long v = std::strtoull(arg, &end, 10);
     if (errno != 0 || end == arg || *end != '\0') {
-      throw std::runtime_error(std::string(name) +
-                               " expects a non-negative integer, got '" +
-                               arg + "'");
+      throw UsageError(std::string(name) +
+                       " expects a non-negative integer, got '" + arg + "'");
     }
     return static_cast<std::uint64_t>(v);
   }
